@@ -1,0 +1,34 @@
+//! Order statistics over timing samples.
+
+/// The `q`-quantile of `samples` (`q` in `[0, 1]`), linearly interpolated
+/// between the two closest ranks. `None` when there are no samples.
+pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64))
+}
+
+pub fn median(samples: &[f64]) -> Option<f64> {
+    quantile(samples, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let s = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&s), Some(2.5));
+        assert_eq!(quantile(&s, 0.0), Some(1.0));
+        assert_eq!(quantile(&s, 1.0), Some(4.0));
+        assert_eq!(quantile(&[7.0], 0.9), Some(7.0));
+        assert_eq!(median(&[]), None);
+    }
+}
