@@ -49,17 +49,13 @@ pub const PERSIST_MAX: u32 = (1 << 29) - 1;
 // bits 0..32   frequency  (u32, saturating)
 // bits 32..61  persistency (29 bits, saturating at PERSIST_MAX)
 // bits 61..64  flags: EVEN (61), ODD (62), OCCUPIED (63)
-//
-// OCCUPIED deliberately sits in the sign bit: the SIMD scan reads occupancy
-// of a whole meta vector with one `movemask`.
 
 const META_FREQ_MASK: u64 = u32::MAX as u64;
 const META_PERSIST_SHIFT: u32 = 32;
 const META_PERSIST_MASK: u64 = (PERSIST_MAX as u64) << META_PERSIST_SHIFT;
 const META_FLAG_SHIFT: u32 = 61;
-/// Occupancy bit of a packed meta word (bit 63) — `pub(crate)` for the
-/// `simd` module's movemask trick.
-pub(crate) const META_OCCUPIED: u64 = (FLAG_OCCUPIED as u64) << META_FLAG_SHIFT;
+/// Occupancy bit of a packed meta word (bit 63).
+const META_OCCUPIED: u64 = (FLAG_OCCUPIED as u64) << META_FLAG_SHIFT;
 
 /// The meta-word bit for the appearance flag of `parity` (0 = even).
 #[inline]
@@ -489,7 +485,7 @@ impl TableStore {
 
     /// Touch the first word of each lane of the bucket tile at `tb` — the
     /// prefetch for the batched insert path. Two demand loads start the
-    /// tile's id-lane and meta-lane lines `prefetch_distance` records
+    /// tile's id-lane and meta-lane lines `PREFETCH_DISTANCE` records
     /// early. Both lanes are always needed (even a case-1 hit reads ids
     /// and writes its meta), and at `d ≥ 8` they sit on different cache
     /// lines, so touching only the id lane leaves the meta line's miss on
@@ -781,9 +777,7 @@ impl std::fmt::Debug for TableStore {
 /// Dispatching on the bucket width first gives the common widths a
 /// *compile-time* trip count, which LLVM flattens into straight-line
 /// compares and a mask reduction instead of a generic loop with a scalar
-/// epilogue. The `simd` feature's [`crate::simd`] module provides an
-/// explicit-intrinsics variant with identical semantics and uses this as
-/// its runtime fallback.
+/// epilogue.
 #[inline(always)]
 pub(crate) fn scan_match(ids: &[ItemId], metas: &[u64], id: ItemId) -> Option<usize> {
     match (ids.len(), metas.len()) {
@@ -804,8 +798,8 @@ fn scan_match_fixed<const D: usize>(ids: &[ItemId], metas: &[u64], id: ItemId) -
     }
 }
 
-/// Bit `k` set iff slot `k` is occupied and holds `id` (`k < 32`: bucket
-/// widths are far below that).
+/// Bit `k` set iff slot `k` is occupied and holds `id` (`k < 32`: the
+/// config builder caps `d` at [`crate::config::MAX_CELLS_PER_BUCKET`]).
 #[inline(always)]
 fn match_mask(ids: &[ItemId], metas: &[u64], id: ItemId) -> u32 {
     if id != 0 {

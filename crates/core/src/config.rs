@@ -87,16 +87,11 @@ pub struct LtcConfig {
     pub variant: Variant,
     /// Seed for the bucket hash function.
     pub seed: u64,
-    /// How many records ahead the batched insert path touches the next
-    /// bucket's id lane ([`crate::Ltc::insert_batch`]). Purely a throughput
-    /// knob: it never changes results, and it is deliberately excluded from
-    /// checkpoint fingerprints so tuning it cannot invalidate saved state.
-    pub prefetch_distance: usize,
 }
 
-/// Default [`LtcConfig::prefetch_distance`]: far enough to cover a DRAM
-/// miss at batch-insert issue rates, near enough to stay inside the batch.
-pub const DEFAULT_PREFETCH_DISTANCE: usize = 8;
+/// Widest bucket the table supports: the bucket scans reduce a bucket to
+/// one `u32` bit mask, one bit per cell.
+pub const MAX_CELLS_PER_BUCKET: usize = 32;
 
 impl LtcConfig {
     /// Start building a configuration.
@@ -180,7 +175,6 @@ pub struct LtcConfigBuilder {
     period_mode: PeriodMode,
     variant: Variant,
     seed: u64,
-    prefetch_distance: usize,
 }
 
 impl Default for LtcConfigBuilder {
@@ -194,7 +188,6 @@ impl Default for LtcConfigBuilder {
             },
             variant: Variant::FULL,
             seed: 0x5151_c0de,
-            prefetch_distance: DEFAULT_PREFETCH_DISTANCE,
         }
     }
 }
@@ -206,7 +199,8 @@ impl LtcConfigBuilder {
         self
     }
 
-    /// Cells per bucket `d` (≥ 1; paper default 8).
+    /// Cells per bucket `d` (1 ≤ d ≤ [`MAX_CELLS_PER_BUCKET`]; paper
+    /// default 8).
     pub fn cells_per_bucket(mut self, d: usize) -> Self {
         self.cells_per_bucket = d;
         self
@@ -248,17 +242,14 @@ impl LtcConfigBuilder {
         self
     }
 
-    /// Batched-insert prefetch lookahead, in records. `0` disables the
-    /// prefetch touch entirely.
-    pub fn prefetch_distance(mut self, records: usize) -> Self {
-        self.prefetch_distance = records;
-        self
-    }
-
     /// Finalise. Panics on a degenerate shape.
     pub fn build(self) -> LtcConfig {
         assert!(self.buckets >= 1, "need at least one bucket");
         assert!(self.cells_per_bucket >= 1, "need at least one cell");
+        assert!(
+            self.cells_per_bucket <= MAX_CELLS_PER_BUCKET,
+            "at most {MAX_CELLS_PER_BUCKET} cells per bucket"
+        );
         LtcConfig {
             buckets: self.buckets,
             cells_per_bucket: self.cells_per_bucket,
@@ -266,7 +257,6 @@ impl LtcConfigBuilder {
             period_mode: self.period_mode,
             variant: self.variant,
             seed: self.seed,
-            prefetch_distance: self.prefetch_distance,
         }
     }
 }
@@ -280,19 +270,6 @@ mod tests {
         let c = LtcConfig::builder().build();
         assert_eq!(c.cells_per_bucket, 8, "paper sets d = 8 by default");
         assert_eq!(c.variant, Variant::FULL);
-    }
-
-    #[test]
-    fn prefetch_distance_defaults_to_eight() {
-        // The batched path was tuned at lookahead 8 (BENCH_pipeline.json);
-        // changing the default must be a deliberate, benchmarked decision.
-        assert_eq!(DEFAULT_PREFETCH_DISTANCE, 8);
-        assert_eq!(
-            LtcConfig::builder().build().prefetch_distance,
-            DEFAULT_PREFETCH_DISTANCE
-        );
-        let c = LtcConfig::builder().prefetch_distance(0).build();
-        assert_eq!(c.prefetch_distance, 0, "0 disables the prefetch touch");
     }
 
     #[test]
@@ -313,6 +290,12 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn zero_buckets_rejected() {
         let _ = LtcConfig::builder().buckets(0).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 cells per bucket")]
+    fn bucket_wider_than_mask_rejected() {
+        let _ = LtcConfig::builder().cells_per_bucket(33).build();
     }
 
     #[test]

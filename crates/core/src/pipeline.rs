@@ -796,8 +796,7 @@ impl ParallelLtc {
     /// Spawn `num_shards` workers, each owning an LTC shard identical to
     /// shard `i` of `ShardedLtc::new(config, num_shards)`, under the
     /// default [`FaultPolicy`]. Workers receive batches over the
-    /// lock-free [`spsc`](crate::spsc) rings and probe their tables
-    /// through the [`simd`](crate::simd) scan.
+    /// lock-free [`spsc`](crate::spsc) rings.
     pub fn new(config: LtcConfig, num_shards: usize) -> Self {
         Self::with_batch_size(config, num_shards, DEFAULT_BATCH_SIZE)
     }
@@ -805,8 +804,7 @@ impl ParallelLtc {
     /// [`new`](ParallelLtc::new) with an explicit hand-off batch size.
     /// Larger batches amortise queue synchronisation further but delay when
     /// workers see records; [`DEFAULT_BATCH_SIZE`] suits most streams.
-    /// Spawns workers on the [`spsc`](crate::spsc) rings with
-    /// [`simd`](crate::simd)-probed shard tables.
+    /// Spawns workers on the [`spsc`](crate::spsc) rings.
     pub fn with_batch_size(config: LtcConfig, num_shards: usize, batch_size: usize) -> Self {
         Self::with_fault_policy(config, num_shards, batch_size, FaultPolicy::default())
     }
@@ -816,8 +814,7 @@ impl ParallelLtc {
     /// is on (a fresh [`RuntimeObs`]); use
     /// [`with_observability`](ParallelLtc::with_observability) to share a
     /// registry or to turn metrics off. Spawns workers on the
-    /// [`spsc`](crate::spsc) rings with [`simd`](crate::simd)-probed
-    /// shard tables.
+    /// [`spsc`](crate::spsc) rings.
     pub fn with_fault_policy(
         config: LtcConfig,
         num_shards: usize,
@@ -837,8 +834,7 @@ impl ParallelLtc {
     /// observability: pass a shared [`RuntimeObs`] to aggregate several
     /// runtimes into one registry, or `None` to run with metrics off (the
     /// mode the `obs_overhead` bench compares against). Spawns workers on
-    /// the [`spsc`](crate::spsc) rings with [`simd`](crate::simd)-probed
-    /// shard tables.
+    /// the [`spsc`](crate::spsc) rings.
     pub fn with_observability(
         config: LtcConfig,
         num_shards: usize,
@@ -942,8 +938,7 @@ impl ParallelLtc {
     /// before the call). Lossy shards contribute their last-good state.
     /// `periods` reports the stream's period count (see
     /// [`ShardedLtc::stats`]). The drain rides the [`spsc`](crate::spsc)
-    /// rings; restarted workers replay through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// rings.
     pub fn stats(&self) -> LtcStats {
         let _ = self.sync();
         let mut merged: LtcStats = self
@@ -970,8 +965,7 @@ impl ParallelLtc {
     /// when it fills. The hot path: one shard hash, one push, no locks.
     /// A dead worker is supervised transparently; records routed to a
     /// lossy shard are dropped and counted. Hand-off goes over the
-    /// lock-free [`spsc`](crate::spsc) ring; the worker probes its table
-    /// through the [`simd`](crate::simd) scan.
+    /// lock-free [`spsc`](crate::spsc) ring.
     #[inline]
     pub fn insert(&mut self, id: ItemId) {
         let n = self.shards.len();
@@ -995,8 +989,7 @@ impl ParallelLtc {
 
     /// Route a whole run of records — one routing pass, then per-shard
     /// hand-off of every batch that filled, over the
-    /// [`spsc`](crate::spsc) rings into the
-    /// [`simd`](crate::simd)-probed shard tables.
+    /// [`spsc`](crate::spsc) rings.
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
         let n = self.shards.len();
         let batch_size = self.batch_size;
@@ -1024,8 +1017,7 @@ impl ParallelLtc {
     /// worker has acknowledged — the parallel stream sees the same period
     /// boundary on every shard. Worker deaths during the barrier are
     /// supervised (restart + re-send, or degradation). Control messages
-    /// ride the [`spsc`](crate::spsc) rings; replay goes through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// ride the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy (the period
@@ -1082,8 +1074,7 @@ impl ParallelLtc {
 
     /// Flush + finalize every shard (harvest last-period CLOCK flags), with
     /// the same barrier semantics as [`end_period`](ParallelLtc::end_period)
-    /// — control over the [`spsc`](crate::spsc) rings, replay through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// — control over the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy.
@@ -1093,8 +1084,7 @@ impl ParallelLtc {
 
     /// Drain the pipeline: flush pending batches and wait until every live
     /// worker has processed everything sent. Queries call this first.
-    /// Flushing pushes onto the [`spsc`](crate::spsc) rings; restarted
-    /// workers replay through the [`simd`](crate::simd)-probed tables.
+    /// Flushing pushes onto the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy — the drain
@@ -1296,8 +1286,7 @@ impl ParallelLtc {
     /// Stop the workers (after draining everything queued) and reassemble
     /// the shards into a single-threaded [`ShardedLtc`] for further use —
     /// the inverse of spinning the runtime up. The shutdown barrier rides
-    /// the [`spsc`](crate::spsc) rings; replay goes through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard degraded to lossy; use
@@ -1315,8 +1304,7 @@ impl ParallelLtc {
     /// [`into_sharded`](ParallelLtc::into_sharded) that always returns the
     /// tables: lossy shards contribute their last-good (rolled-back)
     /// state, and their terminal faults ride along. The shutdown barrier
-    /// rides the [`spsc`](crate::spsc) rings; replay goes through the
-    /// [`simd`](crate::simd)-probed tables.
+    /// rides the [`spsc`](crate::spsc) rings.
     pub fn into_sharded_lossy(mut self) -> (ShardedLtc, Vec<WorkerFault>) {
         let _ = self.broadcast_and_wait(Ctrl::Shutdown);
         let inner = self.inner_mut();
@@ -1345,8 +1333,7 @@ impl ParallelLtc {
     }
 
     /// Strict query: drain (over the [`spsc`](crate::spsc) rings), then
-    /// estimate `id`'s significance via the [`simd`](crate::simd)-probed
-    /// tables.
+    /// estimate `id`'s significance.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy. For best-effort
@@ -1357,8 +1344,7 @@ impl ParallelLtc {
     }
 
     /// Strict query: drain (over the [`spsc`](crate::spsc) rings), then
-    /// merge the global top-k from the [`simd`](crate::simd)-probed
-    /// tables.
+    /// merge the global top-k.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy. For best-effort

@@ -11,7 +11,7 @@
 //! [`crate::reference`] and a property suite pins this table bit-exact
 //! against it.
 
-use crate::cell::{scan_empty, scan_min, Cell, TableStore};
+use crate::cell::{scan_empty, scan_match, scan_min, Cell, TableStore};
 use crate::clock::ClockPointer;
 use crate::config::{LtcConfig, PeriodMode};
 use crate::stats::LtcStats;
@@ -20,6 +20,12 @@ use ltc_common::{
     SignificanceQuery, StreamProcessor, Timestamp, Weights,
 };
 use ltc_hash::SeededHash;
+
+/// How many records ahead the batched insert paths touch the next bucket's
+/// tile ([`Ltc::prefetch_bucket`]): far enough to cover a DRAM miss at
+/// batch-insert issue rates, near enough to stay inside the batch. Shared
+/// with [`crate::reference`] so layout comparisons prefetch alike.
+pub(crate) const PREFETCH_DISTANCE: usize = 8;
 
 /// The Long-Tail CLOCK structure: `w` buckets × `d` cells, a CLOCK pointer
 /// for persistency, and the two optional optimizations.
@@ -109,10 +115,6 @@ impl Ltc {
 
     /// Insert one record (count-driven mode).
     ///
-    /// Bucket probing dispatches through the [`simd`](crate::simd)
-    /// vectorized scan when that feature is enabled (safe scalar
-    /// fallback otherwise).
-    ///
     /// # Panics
     /// Panics if the table was configured time-driven; use
     /// [`insert_at`](Ltc::insert_at) there.
@@ -145,9 +147,6 @@ impl Ltc {
     ///    fires ([`ClockPointer::ticks_before_scan`]), so those records run
     ///    in a tight scan-free loop and the accumulator is advanced once
     ///    for the whole run.
-    ///
-    /// Bucket probing dispatches through the [`simd`](crate::simd)
-    /// vectorized scan when that feature is enabled.
     ///
     /// # Panics
     /// Panics if the table was configured time-driven; use
@@ -223,9 +222,7 @@ impl Ltc {
     /// twin of [`insert_at`](Ltc::insert_at). Bit-identical to inserting the
     /// pairs one by one; the batch gains come from up-front hashing and
     /// bucket prefetch (CLOCK stepping in time-driven mode is already
-    /// amortised per record by the division-based tick). Bucket probing
-    /// dispatches through the [`simd`](crate::simd) vectorized scan when
-    /// that feature is enabled.
+    /// amortised per record by the division-based tick).
     ///
     /// # Panics
     /// Panics if the table was configured count-driven.
@@ -265,28 +262,23 @@ impl Ltc {
             .collect()
     }
 
-    /// Touch a bucket's tile a few records ahead
-    /// ([`LtcConfig::prefetch_distance`]) so its cache lines are in flight
-    /// by the time [`process_at`](Ltc::process_at) reads them. A whole
-    /// probe (match, vacancy, min-significance) reads one contiguous
-    /// `16·d`-byte tile, so the touch covers every line a probe can need.
+    /// Touch a bucket's tile [`PREFETCH_DISTANCE`] records ahead so its
+    /// cache lines are in flight by the time [`process_at`](Ltc::process_at)
+    /// reads them. A whole probe (match, vacancy, min-significance) reads
+    /// one contiguous `16·d`-byte tile, so the touch covers every line a
+    /// probe can need.
     /// The core crate forbids `unsafe`, so instead of `_mm_prefetch` this
     /// issues plain reads the optimiser must keep (`black_box`).
     #[inline]
     fn prefetch_bucket(&self, bases: &[usize], j: usize) {
-        let distance = self.config.prefetch_distance;
-        if distance == 0 {
-            return;
-        }
-        if let Some(&base) = bases.get(j.saturating_add(distance)) {
+        if let Some(&base) = bases.get(j.saturating_add(PREFETCH_DISTANCE)) {
             self.store.prefetch_tile(base);
         }
     }
 
     /// Insert one record with a timestamp (time-driven mode). Periods roll
     /// over automatically when `time` crosses a boundary; timestamps must be
-    /// non-decreasing. Bucket probing dispatches through the
-    /// [`simd`](crate::simd) vectorized scan when that feature is enabled.
+    /// non-decreasing.
     ///
     /// # Panics
     /// Panics if the table was configured count-driven.
@@ -356,22 +348,18 @@ impl Ltc {
         self.stats.harvests = self.stats.harvests.saturating_add(harvested);
     }
 
-    /// Whether `id` currently occupies a cell. The lookup probes through
-    /// the [`simd`](crate::simd) bucket scan when that feature is enabled.
+    /// Whether `id` currently occupies a cell.
     pub fn contains(&self, id: ItemId) -> bool {
         self.find_slot(id).is_some()
     }
 
-    /// Estimated frequency of `id`, if tracked. The lookup probes through
-    /// the [`simd`](crate::simd) bucket scan when that feature is enabled.
+    /// Estimated frequency of `id`, if tracked.
     pub fn frequency_of(&self, id: ItemId) -> Option<u64> {
         self.find_slot(id)
             .map(|i| u64::from(self.store.cell(i).freq))
     }
 
-    /// Estimated persistency of `id`, if tracked. The lookup probes
-    /// through the [`simd`](crate::simd) bucket scan when that feature is
-    /// enabled.
+    /// Estimated persistency of `id`, if tracked.
     pub fn persistency_of(&self, id: ItemId) -> Option<u64> {
         self.find_slot(id)
             .map(|i| u64::from(self.store.cell(i).persist))
@@ -399,7 +387,7 @@ impl Ltc {
     fn find_slot(&self, id: ItemId) -> Option<usize> {
         let bucket = self.bucket_index(id);
         let (ids, metas) = self.store.lanes(self.store.tile_base(bucket));
-        bucket_match(ids, metas, id).map(|k| {
+        scan_match(ids, metas, id).map(|k| {
             bucket
                 .saturating_mul(self.config.cells_per_bucket)
                 .saturating_add(k)
@@ -760,7 +748,7 @@ enum Probe {
 /// find-min-significance float math only runs for a full-bucket miss.
 #[inline(always)]
 fn probe_tile(ids: &[ItemId], metas: &[u64], id: ItemId, weights: &Weights) -> Probe {
-    if let Some(k) = bucket_match(ids, metas, id) {
+    if let Some(k) = scan_match(ids, metas, id) {
         return Probe::Hit(k);
     }
     if let Some(k) = scan_empty(metas) {
@@ -795,24 +783,6 @@ fn probe_tile_fixed<const D: usize>(
         (Ok(ids), Ok(metas)) => probe_tile(ids.as_slice(), metas.as_slice(), id, weights),
         _ => probe_tile_runtime(ids, metas, id, weights),
     }
-}
-
-/// Find `id`'s slot within one bucket's id/meta lanes. The default build
-/// uses the safe autovectorized scan; the `simd` feature swaps in explicit
-/// `core::arch` intrinsics with an identical contract (a property suite
-/// pins the two bit-exact).
-#[cfg(not(feature = "simd"))]
-#[inline(always)]
-fn bucket_match(ids: &[ItemId], metas: &[u64], id: ItemId) -> Option<usize> {
-    crate::cell::scan_match(ids, metas, id)
-}
-
-/// `simd`-feature twin of the safe [`bucket_match`]: dispatches to the
-/// intrinsics module, which itself falls back to the safe scan off x86-64.
-#[cfg(feature = "simd")]
-#[inline]
-fn bucket_match(ids: &[ItemId], metas: &[u64], id: ItemId) -> Option<usize> {
-    crate::simd::find_match(ids, metas, id)
 }
 
 #[cfg(test)]

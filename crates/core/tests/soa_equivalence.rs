@@ -7,8 +7,7 @@
 //! proof that none of that changed a single observable bit: identical
 //! streams must yield identical top-k, estimates, per-item counters, and
 //! byte-identical `LTC1` snapshots — mid-period (pending flags in the lane)
-//! as well as at period boundaries. Built with `--features simd`, the same
-//! properties pin the `core::arch` scan too.
+//! as well as at period boundaries.
 
 use ltc_common::Weights;
 use ltc_core::reference::ReferenceLtc;
@@ -45,6 +44,39 @@ fn chunks_by_sizes<'a>(stream: &'a [u64], sizes: &'a [usize]) -> Vec<&'a [u64]> 
         i += 1;
     }
     out
+}
+
+/// The widest bucket the builder accepts runs the runtime-width scans
+/// (no fixed-width dispatch) with every mask bit in use: one bucket of 32
+/// cells filled by 32 distinct ids, then churned by a stream whose misses
+/// decrement and replace.
+#[test]
+fn widest_bucket_is_bit_exact() {
+    let d = ltc_core::MAX_CELLS_PER_BUCKET;
+    let cfg = config(1, d, 50, Variant::FULL, 3);
+    let mut soa = Ltc::new(cfg);
+    let mut aos = ReferenceLtc::new(cfg);
+    for id in 1..=d as u64 {
+        soa.insert(id);
+        aos.insert(id);
+    }
+    assert_eq!(soa.cells().filter(|c| c.occupied()).count(), d);
+    assert_eq!(soa.to_snapshot(), aos.to_snapshot(), "filled bucket");
+    let churn: Vec<u64> = (0..600u64).map(|k| (k * 7919) % 97).collect();
+    for &id in &churn {
+        soa.insert(id);
+        aos.insert(id);
+    }
+    assert_eq!(soa.to_snapshot(), aos.to_snapshot(), "mid-period snapshot");
+    soa.end_period();
+    aos.end_period();
+    soa.finalize();
+    aos.finalize();
+    assert_eq!(soa.to_snapshot(), aos.to_snapshot(), "final snapshot");
+    for &id in &churn {
+        assert_eq!(soa.frequency_of(id), aos.frequency_of(id));
+        assert_eq!(soa.persistency_of(id), aos.persistency_of(id));
+    }
 }
 
 proptest! {

@@ -14,7 +14,8 @@
 //! The rules (configured by `lint.toml`, schema-checked — unknown
 //! sections/keys and dangling paths are hard errors):
 //!
-//! * **unsafe_allowlist** — `unsafe` only in `[unsafe_code] allow`.
+//! * **unsafe_allowlist** — `unsafe` and `allow(unsafe_code)` only in
+//!   `[unsafe_code] allow`; `core::arch`/`std::arch` nowhere.
 //! * **safety_comment** — every `unsafe` token covered by a
 //!   `// SAFETY:` comment on the same line or the contiguous comment
 //!   block directly above.
@@ -126,11 +127,9 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Directory names skipped anywhere under a root.
     pub skip: Vec<String>,
-    /// Files allowed to contain `unsafe`.
+    /// Files allowed to contain `unsafe` and a file-level
+    /// `allow(unsafe_code)`.
     pub unsafe_allow: Vec<String>,
-    /// Modules allowed to name `core::arch`/`std::arch` and carry a
-    /// file-level `allow(unsafe_code)` (simd_gate rule).
-    pub simd_allow: Vec<String>,
     /// Hot-path files subject to no_panic / no_index / counter_arith.
     pub hot_path: Vec<String>,
     /// Counter field names checked by counter_arith.
@@ -185,7 +184,6 @@ impl Config {
 const SCHEMA: &[(&str, &[&str])] = &[
     ("paths", &["roots", "skip"]),
     ("unsafe_code", &["allow"]),
-    ("simd", &["modules"]),
     ("hot_path", &["files"]),
     ("counters", &["fields"]),
     ("orderings", &["no_relaxed_files", "protocol_files"]),
@@ -287,7 +285,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
             ("paths", "roots") => config.roots = values,
             ("paths", "skip") => config.skip = values,
             ("unsafe_code", "allow") => config.unsafe_allow = values,
-            ("simd", "modules") => config.simd_allow = values,
             ("hot_path", "files") => config.hot_path = values,
             ("counters", "fields") => config.counter_fields = values,
             ("orderings", "no_relaxed_files") => config.no_relaxed_files = values,
@@ -347,7 +344,6 @@ pub fn validate_config_paths(config: &Config, root: &Path) -> Result<(), String>
     }
     let file_lists: &[(&str, &[String])] = &[
         ("[unsafe_code] allow", &config.unsafe_allow),
-        ("[simd] modules", &config.simd_allow),
         ("[hot_path] files", &config.hot_path),
         ("[orderings] no_relaxed_files", &config.no_relaxed_files),
         ("[orderings] protocol_files", &config.protocol_files),

@@ -19,7 +19,6 @@ pub mod index;
 pub mod obs;
 pub mod orderings;
 pub mod panic;
-pub mod simd;
 pub mod unsafe_code;
 
 /// A raw rule hit: `token` is the index (into `FileAnalysis::tokens`)
@@ -53,7 +52,6 @@ pub const WAIVABLE_RULES: &[&str] = &[
 pub fn run_all(fa: &FileAnalysis, config: &crate::Config) -> Vec<Finding> {
     let mut out = Vec::new();
     unsafe_code::check(fa, config, &mut out);
-    simd::check(fa, config, &mut out);
     panic::check(fa, config, &mut out);
     index::check(fa, config, &mut out);
     counters::check(fa, config, &mut out);

@@ -10,7 +10,6 @@ fn fixture_config() -> Config {
         roots: vec!["src".to_string()],
         skip: vec![],
         unsafe_allow: vec!["src/allowed_unsafe.rs".to_string()],
-        simd_allow: vec!["src/simd.rs".to_string()],
         hot_path: vec!["src/hot.rs".to_string()],
         counter_fields: vec!["freq".to_string(), "persist".to_string()],
         no_relaxed_files: vec!["src/conc.rs".to_string()],
@@ -268,43 +267,49 @@ fn unsafe_allowlist_fires_off_list() {
 }
 
 #[test]
-fn simd_gate_fires_off_list() {
-    let src = include_str!("fixtures/simd_violation.rs");
+fn unsafe_allowlist_fires_on_arch_paths_and_unsafe_override() {
+    let src = include_str!("fixtures/arch_violation.rs");
     let hits = active_rules("src/other.rs", src);
     // The file-level `allow(unsafe_code)` and the `core::arch` path;
     // comments, the decoy `#[allow(dead_code)]` and the module merely
     // *named* arch stay silent.
     assert_eq!(
         hits,
-        vec![("simd_gate", 4), ("simd_gate", 6)],
+        vec![("unsafe_allowlist", 4), ("unsafe_allowlist", 6)],
         "full: {hits:?}"
     );
-    // Inside the simd module both patterns are the point.
-    assert!(active_rules("src/simd.rs", src).is_empty());
 }
 
 #[test]
-fn simd_gate_allows_unsafe_override_in_unsafe_allowlist_files() {
-    let src = include_str!("fixtures/simd_violation.rs");
+fn unsafe_allowlist_rejects_arch_paths_even_in_allowlisted_files() {
+    let src = include_str!("fixtures/arch_violation.rs");
     // The SPSC-style file may carry `allow(unsafe_code)` (it is on the
     // unsafe allowlist) but still must not name arch intrinsics.
     let hits = active_rules("src/allowed_unsafe.rs", src);
-    assert_eq!(hits, vec![("simd_gate", 6)], "full: {hits:?}");
+    assert_eq!(hits, vec![("unsafe_allowlist", 6)], "full: {hits:?}");
 }
 
 #[test]
-fn simd_gate_is_not_waivable() {
-    // simd_gate is not in WAIVABLE_RULES: a waiver naming it is itself
-    // an active violation, so the build still fails — the [simd] modules
-    // list is the only escape hatch.
-    let src = "use core::arch::x86_64::_mm_set1_epi64x; // lint:allow(simd_gate): nope\n";
-    let hits = lint_source("src/other.rs", src, &fixture_config());
-    assert!(
-        hits.iter().any(|v| v.rule == "unused_waiver"
-            && v.is_active()
-            && v.message.contains("unknown rule `simd_gate`")),
-        "{hits:?}"
-    );
+fn unsafe_allowlist_arch_check_is_not_waivable() {
+    // Neither unsafe_allowlist nor the rule it absorbed (spelled in two
+    // pieces so the retired name does not linger in the tree) is in
+    // WAIVABLE_RULES: a waiver naming either is itself an active
+    // violation, so the build still fails on the arch path.
+    for rule in [concat!("simd", "_gate"), "unsafe_allowlist"] {
+        let src = format!("use core::arch::x86_64::_mm_set1_epi64x; // lint:allow({rule}): nope\n");
+        let hits = lint_source("src/other.rs", &src, &fixture_config());
+        assert!(
+            hits.iter().any(|v| v.rule == "unused_waiver"
+                && v.is_active()
+                && v.message.contains(&format!("unknown rule `{rule}`"))),
+            "{rule}: {hits:?}"
+        );
+        assert!(
+            hits.iter()
+                .any(|v| v.rule == "unsafe_allowlist" && v.line == 1),
+            "{rule}: {hits:?}"
+        );
+    }
 }
 
 #[test]

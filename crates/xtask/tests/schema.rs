@@ -14,9 +14,6 @@ skip = ["tests"]
 [unsafe_code]
 allow = ["src/spsc.rs"]
 
-[simd]
-modules = ["src/simd.rs"]
-
 [hot_path]
 files = ["src/table.rs"]
 
@@ -96,6 +93,23 @@ fn unknown_section_is_a_named_error() {
         .expect_err("must reject");
     assert!(err.contains("unknown section `[hotpath]`"), "{err}");
     assert!(err.contains("lint.toml:4"), "should carry the line: {err}");
+}
+
+#[test]
+fn cli_retired_simd_section_exits_two() {
+    // `[simd] modules` is gone: arch paths are banned everywhere by
+    // unsafe_allowlist, so a config still carrying the section is stale.
+    let root = scratch("simd");
+    write(&root, "src/lib.rs", "pub fn f() {}\n");
+    write(
+        &root,
+        "lint.toml",
+        "[paths]\nroots = [\"src\"]\n\n[simd]\nmodules = [\"src/lib.rs\"]\n",
+    );
+    let (code, out) = run_lint(&root);
+    assert_eq!(code, 2, "output: {out}");
+    assert!(out.contains("unknown section `[simd]`"), "output: {out}");
+    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]

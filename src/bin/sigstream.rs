@@ -13,7 +13,7 @@
 //!   -p, --period N        count-driven: records per period    [10000]
 //!   -t, --period-time T   time-driven: timestamp units per period
 //!                         (input lines must carry timestamps)
-//!   -d, --depth D         cells per bucket                    [8]
+//!   -d, --depth D         cells per bucket, 1..=32            [8]
 //!       --every P         also print top-k every P periods
 //!       --basic           disable both optimizations (paper's basic LTC)
 //!       --trace           input is a binary .ltct trace (periods included;
@@ -29,7 +29,7 @@
 //! ```
 
 use significant_items::common::{SignificanceQuery, Weights};
-use significant_items::core_::{Ltc, LtcConfig, Variant};
+use significant_items::core_::{Ltc, LtcConfig, Variant, MAX_CELLS_PER_BUCKET};
 use significant_items::hash::FxHashMap;
 use significant_items::workloads::trace::key_to_id;
 use std::io::{self, BufRead, BufReader};
@@ -140,6 +140,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.k == 0 || args.memory_kb == 0 || args.depth == 0 {
         return Err("k, memory and depth must be positive".into());
+    }
+    if args.depth > MAX_CELLS_PER_BUCKET {
+        return Err(format!(
+            "bad --depth: at most {MAX_CELLS_PER_BUCKET} cells per bucket"
+        ));
     }
     Ok(args)
 }
@@ -399,6 +404,13 @@ mod tests {
         assert!(parse("-m x").is_err());
         assert!(parse("a b").is_err(), "two files");
         assert!(parse("-k 0").is_err());
+    }
+
+    #[test]
+    fn depth_above_bucket_cap_is_an_arg_error() {
+        assert_eq!(parse("-d 32").unwrap().depth, 32);
+        let msg = parse("-d 33").unwrap_err();
+        assert!(msg.contains("--depth") && msg.contains("32"), "{msg}");
     }
 
     #[test]
