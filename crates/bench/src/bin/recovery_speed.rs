@@ -163,7 +163,6 @@ fn main() {
                 DurabilityPolicy {
                     interval: Duration::from_millis(100),
                     full_every: 8,
-                    max_chain_len: 16,
                     faults: FaultPolicy::default(),
                     on_fault: Default::default(),
                 },

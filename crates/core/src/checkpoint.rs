@@ -59,6 +59,7 @@
 
 use crate::config::LtcConfig;
 use crate::failpoint::{io_fault, FailAction};
+use crate::lock_recover;
 use crate::obs::trace::names;
 use crate::obs::RuntimeObs;
 use crate::pipeline::ParallelLtc;
@@ -471,19 +472,30 @@ impl Ltc {
     }
 }
 
-/// Stage a restore of `sections` into clones of `shards`, committing only
-/// if every section validates (all-or-nothing for multi-shard tables).
-fn staged_restore(shards: &[&Ltc], sections: &[&[u8]]) -> Result<Vec<Ltc>, CheckpointError> {
-    if sections.len() != shards.len() {
-        return Err(CheckpointError::SectionCount {
-            expected: shards.len(),
-            found: sections.len(),
-        });
+/// Stage a restore of `sections` — plus, for a delta chain, the newest
+/// delta's per-shard `deltas` on top — into clones of `shards`, committing
+/// only if every section validates (all-or-nothing for multi-shard
+/// tables). A section-count mismatch names the frame that has it.
+fn staged_restore(
+    shards: &[&Ltc],
+    sections: &[&[u8]],
+    deltas: Option<&[&[u8]]>,
+) -> Result<Vec<Ltc>, CheckpointError> {
+    for found in std::iter::once(sections.len()).chain(deltas.map(<[_]>::len)) {
+        if found != shards.len() {
+            return Err(CheckpointError::SectionCount {
+                expected: shards.len(),
+                found,
+            });
+        }
     }
     let mut staged = Vec::with_capacity(shards.len());
-    for (shard, section) in shards.iter().zip(sections) {
+    for (i, (shard, section)) in shards.iter().zip(sections).enumerate() {
         let mut table = (*shard).clone();
         table.restore_snapshot(section)?;
+        if let Some(delta) = deltas.and_then(|d| d.get(i)) {
+            table.apply_delta_snapshot(delta)?;
+        }
         staged.push(table);
     }
     Ok(staged)
@@ -509,7 +521,7 @@ impl ShardedLtc {
         let expected = configs_fingerprint((0..self.num_shards()).map(|i| self.shard(i).config()));
         let sections = decode_frame(bytes, expected)?;
         let shards: Vec<&Ltc> = (0..self.num_shards()).map(|i| self.shard(i)).collect();
-        let staged = staged_restore(&shards, &sections)?;
+        let staged = staged_restore(&shards, &sections, None)?;
         *self = ShardedLtc::from_shards(staged);
         Ok(())
     }
@@ -526,10 +538,7 @@ impl ParallelLtc {
         let mut sections = Vec::with_capacity(tables.len());
         let mut fingerprint_configs = Vec::with_capacity(tables.len());
         for table in tables {
-            let guard = match table.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let guard = lock_recover(table);
             sections.push(guard.to_snapshot());
             fingerprint_configs.push(*guard.config());
         }
@@ -544,32 +553,7 @@ impl ParallelLtc {
     /// # Errors
     /// See [`CheckpointError`].
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let _ = self.sync(); // workers idle after this (all sends acked)
-        let staged = {
-            let tables = self.shard_tables();
-            let mut guards = Vec::with_capacity(tables.len());
-            for table in tables {
-                guards.push(match table.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                });
-            }
-            let configs: Vec<LtcConfig> = guards.iter().map(|g| *g.config()).collect();
-            let expected = configs_fingerprint(configs.iter());
-            let sections = decode_frame(bytes, expected)?;
-            let shards: Vec<&Ltc> = guards.iter().map(|g| &**g).collect();
-            staged_restore(&shards, &sections)?
-        };
-        let tables = self.shard_tables();
-        for (table, restored) in tables.iter().zip(staged) {
-            let mut guard = match table.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = restored;
-        }
-        self.reset_after_restore();
-        Ok(())
+        self.restore_frames(bytes, None)
     }
 
     /// Checkpoint into `store`, returning the new generation number.
@@ -668,54 +652,31 @@ impl ParallelLtc {
         if crc32(&base_bytes) != chain.base_crc {
             return Err(broken);
         }
-        self.restore_chained(&base_bytes, &bytes)
+        self.restore_frames(&base_bytes, Some(&bytes))
     }
 
-    /// Restore base-then-delta, all-or-nothing: both frames fully validate
-    /// against this runtime's configuration and stage into shard clones
-    /// before anything commits.
-    fn restore_chained(&mut self, base: &[u8], delta: &[u8]) -> Result<(), CheckpointError> {
+    /// The one restore path: drain the pipeline, lock every shard,
+    /// validate the full frame `base` — and, for a chain, its newest
+    /// `delta` — against the shards' configuration, stage into shard
+    /// clones, and only then commit and reset the lanes. All-or-nothing.
+    fn restore_frames(&mut self, base: &[u8], delta: Option<&[u8]>) -> Result<(), CheckpointError> {
         let _ = self.sync(); // workers idle after this (all sends acked)
-        let staged = {
-            let tables = self.shard_tables();
-            let mut guards = Vec::with_capacity(tables.len());
-            for table in tables {
-                guards.push(match table.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                });
+        {
+            let mut guards: Vec<_> = self
+                .shard_tables()
+                .iter()
+                .map(|t| lock_recover(t))
+                .collect();
+            let expected = configs_fingerprint(guards.iter().map(|g| g.config()));
+            let sections = decode_frame(base, expected)?;
+            let delta_sections = delta.map(|d| decode_frame(d, expected)).transpose()?;
+            // A delta frame is the DLTA header plus one LTCD per shard.
+            let payloads = delta_sections.as_ref().map(|d| d.get(1..).unwrap_or(&[]));
+            let shards: Vec<&Ltc> = guards.iter().map(|g| &**g).collect();
+            let staged = staged_restore(&shards, &sections, payloads)?;
+            for (guard, restored) in guards.iter_mut().zip(staged) {
+                **guard = restored;
             }
-            let configs: Vec<LtcConfig> = guards.iter().map(|g| *g.config()).collect();
-            let expected = configs_fingerprint(configs.iter());
-            let base_sections = decode_frame(base, expected)?;
-            let delta_sections = decode_frame(delta, expected)?;
-            // A delta frame is the DLTA header plus one LTCD per shard; the
-            // base must be a plain full frame (one LTC1 per shard).
-            let payloads = delta_sections.get(1..).unwrap_or(&[]);
-            if base_sections.len() != guards.len() || payloads.len() != guards.len() {
-                return Err(CheckpointError::SectionCount {
-                    expected: guards.len(),
-                    found: payloads.len(),
-                });
-            }
-            let mut staged = Vec::with_capacity(guards.len());
-            for ((guard, base_section), delta_section) in
-                guards.iter().zip(&base_sections).zip(payloads)
-            {
-                let mut table = (**guard).clone();
-                table.restore_snapshot(base_section)?;
-                table.apply_delta_snapshot(delta_section)?;
-                staged.push(table);
-            }
-            staged
-        };
-        let tables = self.shard_tables();
-        for (table, restored) in tables.iter().zip(staged) {
-            let mut guard = match table.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *guard = restored;
         }
         self.reset_after_restore();
         Ok(())
@@ -790,10 +751,7 @@ pub(crate) fn save_full_over(
     let mut sections = Vec::with_capacity(tables.len());
     let mut fingerprint_configs = Vec::with_capacity(tables.len());
     for table in tables {
-        let mut guard = match table.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(table);
         // Snapshot and epoch-open under the same lock: every mutation
         // after this instant lands in the next delta, every mutation
         // before it is in this frame — no gap, no overlap.
@@ -835,10 +793,7 @@ pub(crate) fn save_delta_over(
         ..*chain
     }));
     for table in tables {
-        let guard = match table.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let guard = lock_recover(table);
         sections.push(guard.to_delta_snapshot());
         fingerprint_configs.push(*guard.config());
     }
@@ -1465,6 +1420,48 @@ mod tests {
         );
         restored.finish().unwrap();
         live.finish().unwrap();
+    }
+
+    #[test]
+    fn chained_restore_reports_the_miscounted_frame() {
+        let mut p = ParallelLtc::with_batch_size(config(), 2, 8);
+        let full = p.to_checkpoint();
+        let fingerprint = read_u64(&full, 8).unwrap();
+        let chain = DeltaChain {
+            base_generation: 1,
+            base_crc: crc32(&full),
+            length: 1,
+        };
+        let mut delta_sections = vec![encode_delta_header(&chain)];
+        for table in p.shard_tables() {
+            delta_sections.push(lock_recover(table).to_delta_snapshot());
+        }
+        let delta = encode_frame(fingerprint, &delta_sections);
+        // A base frame one section short (right fingerprint): the error
+        // names the base's count, not the well-formed delta's.
+        let short_base = encode_frame(
+            fingerprint,
+            &[lock_recover(&p.shard_tables()[0]).to_snapshot()],
+        );
+        assert_eq!(
+            p.restore_frames(&short_base, Some(&delta)),
+            Err(CheckpointError::SectionCount {
+                expected: 2,
+                found: 1
+            })
+        );
+        // A delta frame with no shard payloads behind its header must not
+        // restore the base alone.
+        let empty_delta = encode_frame(fingerprint, &delta_sections[..1]);
+        assert_eq!(
+            p.restore_frames(&full, Some(&empty_delta)),
+            Err(CheckpointError::SectionCount {
+                expected: 2,
+                found: 0
+            })
+        );
+        p.restore_frames(&full, Some(&delta)).unwrap();
+        p.finish().unwrap();
     }
 
     #[test]

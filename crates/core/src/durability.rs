@@ -36,10 +36,12 @@
 //! ## Prune safety
 //!
 //! A delta frame is useless without its base, so the service clamps the
-//! [`Checkpointer`]'s keep limit to at least `max_chain_len + 2`
-//! generations: the live chain (base + deltas) plus the previous chain's
-//! base always survive pruning, and restore can always fall back a full
-//! generation chain.
+//! [`Checkpointer`]'s keep limit to at least `2·full_every + 2`
+//! generations. A chain holds at most `full_every + 1` frames (its base
+//! plus `full_every` deltas before the next compaction), so the clamp
+//! keeps the live chain *and the whole previous chain*: if the newest
+//! chain's base turns out torn, restore falls back onto the previous
+//! chain's newest delta, whose base has not been pruned.
 //!
 //! ## Deterministic checkpoints
 //!
@@ -52,6 +54,7 @@ use crate::checkpoint::{
     save_delta_over, save_full_over, CheckpointError, Checkpointer, DeltaChain,
 };
 use crate::config::FaultPolicy;
+use crate::lock_recover;
 use crate::obs::trace::{names, TraceTrack};
 use crate::obs::RuntimeObs;
 use crate::pipeline::ParallelLtc;
@@ -80,15 +83,11 @@ pub struct DurabilityPolicy {
     /// [`DurabilityService::checkpoint_now`] requests are served
     /// immediately regardless.
     pub interval: Duration,
-    /// Delta frames between full frames: after this many deltas the next
-    /// frame is a compaction (a fresh full frame). `0` makes every frame
-    /// full.
+    /// Delta frames between full frames: once the live chain holds this
+    /// many deltas the next frame is a compaction (a fresh full frame).
+    /// `0` makes every frame full. Also sets the prune clamp,
+    /// `2·full_every + 2` — see the module docs.
     pub full_every: u32,
-    /// Hard cap on chain length: a chain that reaches this many deltas is
-    /// compacted at the next tick even if `full_every` hasn't elapsed
-    /// (they differ when failed saves stretch a chain). Also sets the
-    /// prune clamp — see the module docs.
-    pub max_chain_len: u32,
     /// Retry budget and backoff for failed saves (reuses the worker
     /// supervisor's policy type).
     pub faults: FaultPolicy,
@@ -101,7 +100,6 @@ impl Default for DurabilityPolicy {
         Self {
             interval: Duration::from_millis(200),
             full_every: 8,
-            max_chain_len: 16,
             faults: FaultPolicy::default(),
             on_fault: OnFault::Degrade,
         }
@@ -152,7 +150,7 @@ pub struct DurabilityService {
 
 impl DurabilityService {
     /// Attach a durability service to `runtime`, publishing through
-    /// `store` (its keep limit is clamped to `max_chain_len + 2` — see the
+    /// `store` (its keep limit is clamped to `2·full_every + 2` — see the
     /// module docs). The service holds shard handles, not the runtime:
     /// `runtime` stays fully usable (including a later
     /// [`ParallelLtc::restore_from`], after stopping the service).
@@ -164,7 +162,11 @@ impl DurabilityService {
         store: Checkpointer,
         policy: DurabilityPolicy,
     ) -> Result<Self, CheckpointError> {
-        let min_keep = (policy.max_chain_len as usize).saturating_add(2);
+        // The live chain plus the whole previous chain, `full_every + 1`
+        // frames each.
+        let min_keep = (policy.full_every as usize)
+            .saturating_add(1)
+            .saturating_mul(2);
         let store = if store.keep_limit() < min_keep {
             store.keep_generations(min_keep)
         } else {
@@ -188,7 +190,6 @@ impl DurabilityService {
             control: Arc::clone(&control),
             status: Arc::clone(&status),
             chain: None,
-            deltas_since_full: 0,
         };
         let handle = std::thread::Builder::new()
             .name("ltc-durability".to_string())
@@ -212,10 +213,7 @@ impl DurabilityService {
     /// [`CheckpointError::Io`] if the service has stopped.
     pub fn checkpoint_now(&self) -> Result<u64, CheckpointError> {
         let (lock, cvar) = &*self.control;
-        let mut guard = match lock.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(lock);
         if guard.stop {
             return Err(CheckpointError::Io("durability service stopped".into()));
         }
@@ -243,10 +241,7 @@ impl DurabilityService {
 
     /// A snapshot of the service's counters.
     pub fn status(&self) -> DurabilityStatus {
-        match self.status.lock() {
-            Ok(guard) => guard.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        lock_recover(&self.status).clone()
     }
 
     /// The store the service publishes through (keep-limit clamp applied).
@@ -260,10 +255,7 @@ impl DurabilityService {
     pub fn stop(&mut self) {
         {
             let (lock, cvar) = &*self.control;
-            let mut guard = match lock.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut guard = lock_recover(lock);
             guard.stop = true;
             cvar.notify_all();
         }
@@ -293,8 +285,6 @@ struct Worker {
     /// Live delta chain; `None` until a full frame lands (and again after
     /// a failed full save — see the module docs).
     chain: Option<DeltaChain>,
-    /// Delta frames published since the last full frame.
-    deltas_since_full: u32,
 }
 
 /// Why the wait loop woke up.
@@ -321,10 +311,7 @@ impl Worker {
                 Wake::Explicit => {
                     let result = self.save_once();
                     let (lock, cvar) = &*self.control;
-                    let mut guard = match lock.lock() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
+                    let mut guard = lock_recover(lock);
                     guard.served = guard.served.saturating_add(1);
                     guard.last = Some(result);
                     cvar.notify_all();
@@ -336,10 +323,7 @@ impl Worker {
         }
         // Release anyone still blocked in checkpoint_now.
         let (lock, cvar) = &*self.control;
-        let mut guard = match lock.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(lock);
         guard.stop = true;
         guard.served = guard.tickets;
         if guard.last.is_none() {
@@ -353,10 +337,7 @@ impl Worker {
     /// Block until the next tick, an explicit ticket, or shutdown.
     fn wait(&self) -> Wake {
         let (lock, cvar) = &*self.control;
-        let mut guard = match lock.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = lock_recover(lock);
         loop {
             if guard.stop {
                 return Wake::Stop;
@@ -366,10 +347,7 @@ impl Worker {
             }
             let (next, timeout) = match cvar.wait_timeout(guard, self.policy.interval) {
                 Ok(pair) => pair,
-                Err(poisoned) => {
-                    let (next, timeout) = poisoned.into_inner();
-                    (next, timeout)
-                }
+                Err(poisoned) => poisoned.into_inner(),
             };
             guard = next;
             if timeout.timed_out() {
@@ -418,16 +396,15 @@ impl Worker {
     /// says so; delta otherwise. A failed full save drops the chain so no
     /// delta is attempted until a full frame lands.
     fn try_save(&mut self) -> Result<u64, CheckpointError> {
-        let compact = self.chain.as_ref().is_some_and(|chain| {
-            self.deltas_since_full >= self.policy.full_every
-                || chain.length >= self.policy.max_chain_len
-        });
+        let compact = self
+            .chain
+            .as_ref()
+            .is_some_and(|chain| chain.length >= self.policy.full_every);
         match self.chain {
             Some(ref mut chain) if !compact => {
                 let _span = self.trace.as_ref().map(|t| t.span(names::DELTA_SAVE, None));
                 let generation =
                     save_delta_over(&self.shards, self.obs.as_deref(), &self.store, chain)?;
-                self.deltas_since_full = self.deltas_since_full.saturating_add(1);
                 let length = chain.length;
                 self.with_status(|s| {
                     s.delta_saves = s.delta_saves.saturating_add(1);
@@ -458,7 +435,6 @@ impl Worker {
                     Ok(chain) => {
                         let generation = chain.base_generation;
                         self.chain = Some(chain);
-                        self.deltas_since_full = 0;
                         self.with_status(|s| {
                             s.full_saves = s.full_saves.saturating_add(1);
                             if compact {
@@ -478,18 +454,11 @@ impl Worker {
     }
 
     fn stopped_on_fault(&self) -> bool {
-        match self.status.lock() {
-            Ok(guard) => guard.stopped_on_fault,
-            Err(poisoned) => poisoned.into_inner().stopped_on_fault,
-        }
+        lock_recover(&self.status).stopped_on_fault
     }
 
     fn with_status(&self, f: impl FnOnce(&mut DurabilityStatus)) {
-        let mut guard = match self.status.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        f(&mut guard);
+        f(&mut lock_recover(&self.status));
     }
 }
 
@@ -605,12 +574,12 @@ mod tests {
         let scratch = ScratchDir::new("clamp");
         let runtime = ParallelLtc::with_batch_size(config(), 2, 8);
         let policy = DurabilityPolicy {
-            max_chain_len: 6,
+            full_every: 6,
             ..manual_policy()
         };
         let store = Checkpointer::new(scratch.path()).unwrap(); // default keep = 3
         let service = DurabilityService::attach(&runtime, store, policy).unwrap();
-        assert_eq!(service.store().keep_limit(), 8, "max_chain_len + 2");
+        assert_eq!(service.store().keep_limit(), 14, "2·full_every + 2");
     }
 
     #[test]

@@ -88,3 +88,14 @@ pub use spsc::SpscRing;
 pub use stats::LtcStats;
 pub use table::Ltc;
 pub use window::WindowedLtc;
+
+/// Poison-tolerant lock for `std` mutexes. A panicking holder is surfaced
+/// by its own typed path (a worker fault, a failed save) — not by
+/// cascading poison panics through every later reader. Typed on `std`, so
+/// the `loom-check` swap in `shim` leaves it alone.
+pub(crate) fn lock_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}

@@ -32,6 +32,7 @@ use super::journal::EventKind;
 use super::metrics::Gauge;
 use super::registry::Labels;
 use super::RuntimeObs;
+use crate::lock_recover;
 use crate::stats::LtcStats;
 use crate::table::Ltc;
 use std::sync::{Arc, Mutex};
@@ -117,15 +118,6 @@ impl std::fmt::Debug for HealthAuditor {
             .field("cursor", &self.cursor)
             .field("has_baseline", &self.last.is_some())
             .finish()
-    }
-}
-
-/// Poison-tolerant lock (the auditor runs right after worker supervision;
-/// a poisoned table mutex was already handled by the typed fault path).
-fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 

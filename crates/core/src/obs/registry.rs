@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use super::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::lock_recover;
 
 /// The kind of a metric family, matching Prometheus `# TYPE` values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,19 +104,9 @@ pub struct FamilySnapshot {
 /// A registry of metric families. Cheap to clone (clones share state).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
+    /// Locked poison-tolerantly: registration and export never leave the
+    /// maps torn, so observing after a panicking registrant is safe.
     families: Arc<Mutex<BTreeMap<String, Family>>>,
-}
-
-/// Recover from a poisoned registry lock: metric registration and export
-/// never carry torn invariants (the maps are always structurally valid),
-/// so observing after a panicking registrant is safe.
-fn lock_families(
-    families: &Mutex<BTreeMap<String, Family>>,
-) -> std::sync::MutexGuard<'_, BTreeMap<String, Family>> {
-    match families.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl MetricsRegistry {
@@ -132,7 +123,7 @@ impl MetricsRegistry {
     /// programming error, caught at construction time, never on a hot
     /// path.
     pub fn counter(&self, name: &str, help: &str, labels: Labels) -> Counter {
-        let mut families = lock_families(&self.families);
+        let mut families = lock_recover(&self.families);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             kind: MetricKind::Counter,
             help: help.to_string(),
@@ -158,7 +149,7 @@ impl MetricsRegistry {
     /// Register (or fetch) a gauge series. Same contract as
     /// [`MetricsRegistry::counter`].
     pub fn gauge(&self, name: &str, help: &str, labels: Labels) -> Gauge {
-        let mut families = lock_families(&self.families);
+        let mut families = lock_recover(&self.families);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             kind: MetricKind::Gauge,
             help: help.to_string(),
@@ -182,7 +173,7 @@ impl MetricsRegistry {
     /// Register (or fetch) a histogram series. Same contract as
     /// [`MetricsRegistry::counter`].
     pub fn histogram(&self, name: &str, help: &str, labels: Labels) -> Histogram {
-        let mut families = lock_families(&self.families);
+        let mut families = lock_recover(&self.families);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             kind: MetricKind::Histogram,
             help: help.to_string(),
@@ -207,7 +198,7 @@ impl MetricsRegistry {
     /// then label set. Each series value is read at some point during the
     /// snapshot (per-cell consistency, the Prometheus model).
     pub fn snapshot(&self) -> Vec<FamilySnapshot> {
-        let families = lock_families(&self.families);
+        let families = lock_recover(&self.families);
         families
             .iter()
             .map(|(name, family)| FamilySnapshot {

@@ -24,7 +24,9 @@
 //! queue, and blocks until all workers acknowledge it. Because each queue is
 //! FIFO, every record inserted before the call lands in its shard before
 //! the period closes — the parallel stream observes exactly the same period
-//! boundaries as a sequential one.
+//! boundaries as a sequential one. [`sync`](ParallelLtc::sync),
+//! [`finish`](ParallelLtc::finish) and shutdown run the same barrier (with
+//! no message, `Finish` and `Shutdown` respectively).
 //!
 //! ## Fault model and supervision
 //!
@@ -43,9 +45,10 @@
 //!    worker is spawned on a fresh queue after an exponential backoff, and
 //!    any barrier message still in flight is re-sent so the epoch
 //!    boundary completes;
-//! 4. once the budget is exhausted the shard is marked **lossy**: records
-//!    routed to it are dropped (and counted), while queries keep serving
-//!    the shard's last-good state alongside the healthy shards.
+//! 4. once the budget is exhausted — or the OS refuses the replacement
+//!    thread — the shard is marked **lossy**: records routed to it are
+//!    dropped (and counted), while queries keep serving the shard's
+//!    last-good state alongside the healthy shards.
 //!
 //! Records between the last checkpoint and the fault are lost — that is the
 //! documented recovery semantic (at-most-once per shard epoch), and
@@ -63,6 +66,7 @@
 //! query observes every record inserted before it.
 
 use crate::config::{FaultPolicy, LtcConfig};
+use crate::lock_recover;
 use crate::obs::audit::HealthAuditor;
 use crate::obs::trace::{names, SpanCtx, TraceTrack};
 use crate::obs::{RuntimeObs, ShardObs};
@@ -74,7 +78,7 @@ use ltc_common::{
     top_k_of, BatchStreamProcessor, Estimate, ItemId, MemoryUsage, SignificanceQuery,
     StreamProcessor,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -270,16 +274,6 @@ impl ShardHealth {
     }
 }
 
-/// Poison-tolerant lock. A worker that panicked is surfaced by the typed
-/// fault path (its queue is poisoned and its barrier marked dead) — not by
-/// cascading poison panics through every query path.
-fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// Returned by [`Progress::wait_for`] when the worker behind the barrier
 /// died before reaching the target: the waiter must run supervision
 /// instead of blocking forever.
@@ -470,18 +464,47 @@ impl std::fmt::Debug for ParallelLtc {
     }
 }
 
-/// Spawn a worker thread over `ctx`. Returns the fault (not a panic) if
-/// the OS refuses the thread, so supervision can degrade gracefully.
-fn spawn_worker(ctx: WorkerCtx) -> Result<JoinHandle<()>, WorkerFault> {
-    let shard_index = ctx.shard_index;
-    std::thread::Builder::new()
+/// Start a worker for `lane` on a fresh queue, barrier and fault slot,
+/// over `shard`'s current state. If the OS refuses the thread, the lane
+/// degrades instead of panicking: the spawn fault is noted, then the lane
+/// goes lossy (see [`degrade`]).
+fn spawn_worker(
+    lane: &mut Lane,
+    shard: &Arc<Mutex<Ltc>>,
+    shard_index: usize,
+    checkpoint_every: u32,
+    obs: Option<&RuntimeObs>,
+) {
+    lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
+    lane.progress = Arc::new(Progress::new());
+    lane.fault = Arc::new(Mutex::new(None));
+    lane.sent = 0;
+    let ctx = WorkerCtx {
+        shard_index,
+        queue: Arc::clone(&lane.queue),
+        shard: Arc::clone(shard),
+        progress: Arc::clone(&lane.progress),
+        fault: Arc::clone(&lane.fault),
+        last_good: Arc::clone(&lane.last_good),
+        checkpoint_every,
+        obs: lane.obs.clone(),
+        trace: lane.trace.clone(),
+    };
+    let spawned = std::thread::Builder::new()
         .name(format!("ltc-shard-{shard_index}"))
-        .spawn(move || worker_loop(&ctx))
-        .map_err(|e| WorkerFault {
-            shard: shard_index,
-            kind: FaultKind::SpawnFailed,
-            message: format!("spawn failed: {e}"),
-        })
+        .spawn(move || worker_loop(&ctx));
+    match spawned {
+        Ok(handle) => lane.worker = Some(handle),
+        Err(e) => {
+            let fault = WorkerFault {
+                shard: shard_index,
+                kind: FaultKind::SpawnFailed,
+                message: format!("spawn failed: {e}"),
+            };
+            note_fault(lane, shard_index, &fault, obs);
+            degrade(lane, shard_index, fault, obs);
+        }
+    }
 }
 
 /// Extract a readable message from a caught panic payload.
@@ -661,8 +684,23 @@ fn fresh_ring(obs: Option<&ShardObs>) -> SpscRing<Msg> {
     }
 }
 
-/// Count + journal a shard's degradation to lossy mode.
-fn note_degradation(lane: &Lane, shard_index: usize, obs: Option<&RuntimeObs>) {
+/// Count + journal a worker fault, remembering its journal seq so
+/// `health()` can point at it.
+fn note_fault(lane: &mut Lane, shard_index: usize, fault: &WorkerFault, obs: Option<&RuntimeObs>) {
+    if let Some(o) = obs {
+        if let Some(seq) = o.note_fault(shard_index as u64, fault.kind.name(), fault.kind.code()) {
+            lane.last_fault_seq = Some(seq);
+        }
+    }
+}
+
+/// Degrade a lane to lossy mode: poison its queue (the router never
+/// blocks on it again), record the terminal fault, and count + journal
+/// the degradation.
+fn degrade(lane: &mut Lane, shard_index: usize, fault: WorkerFault, obs: Option<&RuntimeObs>) {
+    lane.queue.poison();
+    lane.sent = 0;
+    lane.lossy = Some(fault);
     if let Some(shard_obs) = &lane.obs {
         shard_obs.degradations.inc();
     }
@@ -701,11 +739,7 @@ fn supervise_lane(
         });
     // Observe the fault before acting on it, so the journal seq exists by
     // the time health() can report the new state.
-    if let Some(o) = obs {
-        if let Some(seq) = o.note_fault(shard_index as u64, fault.kind.name(), fault.kind.code()) {
-            lane.last_fault_seq = Some(seq);
-        }
-    }
+    note_fault(lane, shard_index, &fault, obs);
     // 2. Salvage the backlog. These batches were never applied; they are
     //    part of the rollback loss, so count them. (Joining the worker
     //    first transferred the consumer role to this thread.)
@@ -732,10 +766,7 @@ fn supervise_lane(
     }
     // 4. Budget check: degrade to lossy once restarts are exhausted.
     if lane.restarts >= policy.max_restarts {
-        lane.queue.poison();
-        lane.sent = 0;
-        lane.lossy = Some(fault);
-        note_degradation(lane, shard_index, obs);
+        degrade(lane, shard_index, fault, obs);
         return;
     }
     lane.restarts = lane.restarts.saturating_add(1);
@@ -747,37 +778,16 @@ fn supervise_lane(
         std::thread::sleep(backoff);
     }
     // 5. Fresh channel, barrier and fault slot; respawn from the restored
-    //    shard state.
-    lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
-    lane.progress = Arc::new(Progress::new());
-    lane.fault = Arc::new(Mutex::new(None));
-    lane.sent = 0;
-    let ctx = WorkerCtx {
+    //    shard state (a refused spawn degrades the lane instead).
+    spawn_worker(
+        lane,
+        shard,
         shard_index,
-        queue: Arc::clone(&lane.queue),
-        shard: Arc::clone(shard),
-        progress: Arc::clone(&lane.progress),
-        fault: Arc::clone(&lane.fault),
-        last_good: Arc::clone(&lane.last_good),
-        checkpoint_every: policy.checkpoint_every_periods,
-        obs: lane.obs.clone(),
-        trace: lane.trace.clone(),
-    };
-    match spawn_worker(ctx) {
-        Ok(handle) => lane.worker = Some(handle),
-        Err(fault) => {
-            if let Some(o) = obs {
-                if let Some(seq) =
-                    o.note_fault(shard_index as u64, fault.kind.name(), fault.kind.code())
-                {
-                    lane.last_fault_seq = Some(seq);
-                }
-            }
-            lane.queue.poison();
-            lane.lossy = Some(fault);
-            note_degradation(lane, shard_index, obs);
-            return;
-        }
+        policy.checkpoint_every_periods,
+        obs,
+    );
+    if lane.lossy.is_some() {
+        return;
     }
     // 6. Re-send the barrier message still in flight so the epoch closes
     //    on the restored state.
@@ -855,41 +865,35 @@ impl ParallelLtc {
             .enumerate()
             .map(|(i, shard)| {
                 let shard_obs = obs.as_ref().map(|o| o.shard(i as u64));
-                let lane_trace = tracer.as_ref().map(|t| t.register(names::TRACK_SHARD));
-                let queue = Arc::new(fresh_ring(shard_obs.as_ref()));
-                let progress = Arc::new(Progress::new());
-                let fault = Arc::new(Mutex::new(None));
-                // The initial checkpoint is the pristine shard: a worker
-                // that dies before its first period boundary rolls back
-                // to an empty (but correctly configured) table.
-                let last_good = Arc::new(Mutex::new(lock_recover(shard).to_snapshot()));
-                let ctx = WorkerCtx {
-                    shard_index: i,
-                    queue: Arc::clone(&queue),
-                    shard: Arc::clone(shard),
-                    progress: Arc::clone(&progress),
-                    fault: Arc::clone(&fault),
-                    last_good: Arc::clone(&last_good),
-                    checkpoint_every: policy.checkpoint_every_periods,
-                    obs: shard_obs.clone(),
-                    trace: lane_trace.clone(),
-                };
-                let worker = spawn_worker(ctx).expect("spawn shard worker"); // lint:allow(no_panic): startup-only, cannot be handled locally
-                Lane {
+                let mut lane = Lane {
                     pending: Vec::with_capacity(batch_size),
                     sent: 0,
-                    queue,
-                    progress,
-                    fault,
-                    last_good,
-                    worker: Some(worker),
+                    queue: Arc::new(fresh_ring(shard_obs.as_ref())),
+                    progress: Arc::new(Progress::new()),
+                    fault: Arc::new(Mutex::new(None)),
+                    // The initial checkpoint is the pristine shard: a worker
+                    // that dies before its first period boundary rolls back
+                    // to an empty (but correctly configured) table.
+                    last_good: Arc::new(Mutex::new(lock_recover(shard).to_snapshot())),
+                    worker: None,
                     restarts: 0,
                     lossy: None,
                     records_lost: 0,
                     obs: shard_obs,
-                    trace: lane_trace,
+                    trace: tracer.as_ref().map(|t| t.register(names::TRACK_SHARD)),
                     last_fault_seq: None,
+                };
+                spawn_worker(
+                    &mut lane,
+                    shard,
+                    i,
+                    policy.checkpoint_every_periods,
+                    obs.as_deref(),
+                );
+                if let Some(fault) = &lane.lossy {
+                    panic!("spawn shard worker: {fault}"); // lint:allow(no_panic): startup-only, cannot be handled locally
                 }
+                lane
             })
             .collect();
         let trace = tracer.as_ref().map(|t| RouterTrace {
@@ -953,14 +957,6 @@ impl ParallelLtc {
         merged
     }
 
-    /// Statically exclusive access to the lanes (no runtime locking).
-    fn inner_mut(&mut self) -> &mut Inner {
-        match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Route one record to its shard's pending batch; hand the batch off
     /// when it fills. The hot path: one shard hash, one push, no locks.
     /// A dead worker is supervised transparently; records routed to a
@@ -968,23 +964,7 @@ impl ParallelLtc {
     /// lock-free [`spsc`](crate::spsc) ring.
     #[inline]
     pub fn insert(&mut self, id: ItemId) {
-        let n = self.shards.len();
-        let batch_size = self.batch_size;
-        let shard_index = shard_of_id(id, n);
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Inner { lanes, trace } = inner;
-        // `shard_of_id` returns a value below `n`, so the lookups succeed.
-        if let (Some(lane), Some(shard)) = (lanes.get_mut(shard_index), shards.get(shard_index)) {
-            if !route_one(lane, batch_size, id, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, &policy, None, obs.as_deref());
-            }
-        }
+        self.insert_batch(std::slice::from_ref(&id));
     }
 
     /// Route a whole run of records — one routing pass, then per-shard
@@ -992,21 +972,16 @@ impl ParallelLtc {
     /// [`spsc`](crate::spsc) rings.
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
         let n = self.shards.len();
-        let batch_size = self.batch_size;
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Inner { lanes, trace } = inner;
+        let obs = self.obs.as_deref();
+        let Inner { lanes, trace } = inner_mut(&mut self.inner);
         for &id in ids {
             let shard_index = shard_of_id(id, n);
-            if let (Some(lane), Some(shard)) = (lanes.get_mut(shard_index), shards.get(shard_index))
+            // `shard_of_id` returns a value below `n`, so the lookups succeed.
+            if let (Some(lane), Some(shard)) =
+                (lanes.get_mut(shard_index), self.shards.get(shard_index))
             {
-                if !route_one(lane, batch_size, id, trace.as_mut()) {
-                    supervise_lane(lane, shard, shard_index, &policy, None, obs.as_deref());
+                if !route_one(lane, self.batch_size, id, trace.as_mut()) {
+                    supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
                 }
             }
         }
@@ -1023,7 +998,7 @@ impl ParallelLtc {
     /// [`RuntimeError::ShardsLost`] if any shard is lossy (the period
     /// still closed on every live shard; the runtime stays usable).
     pub fn end_period(&mut self) -> Result<(), RuntimeError> {
-        let result = self.broadcast_and_wait(Ctrl::EndPeriod);
+        let result = self.barrier(Some(Ctrl::EndPeriod));
         // The period closed on every live shard even when some are lossy,
         // so the rollover is journalled in both cases.
         self.periods = self.periods.saturating_add(1);
@@ -1040,36 +1015,24 @@ impl ParallelLtc {
     /// tables are quiescent here — `end_period` calls this right after its
     /// barrier — so the audit's brief table locks contend with nothing.
     fn run_audit(&mut self) {
-        let Some(obs) = self.obs.clone() else {
+        let (Some(obs), Some(auditor)) = (self.obs.as_deref(), self.auditor.as_mut()) else {
             return;
         };
-        let period = self.periods;
+        let inner = inner_mut(&mut self.inner);
         let mut rollbacks = self.restores;
-        let audit_span = {
-            let inner = match self.inner.get_mut() {
-                Ok(inner) => inner,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for lane in &inner.lanes {
-                rollbacks = rollbacks.saturating_add(u64::from(lane.restarts));
-                if lane.lossy.is_some() {
-                    // The terminal rollback before degradation never
-                    // consumed a restart from the budget.
-                    rollbacks = rollbacks.saturating_add(1);
-                }
+        for lane in &inner.lanes {
+            rollbacks = rollbacks.saturating_add(u64::from(lane.restarts));
+            if lane.lossy.is_some() {
+                // The terminal rollback before degradation never
+                // consumed a restart from the budget.
+                rollbacks = rollbacks.saturating_add(1);
             }
-            inner
-                .trace
-                .as_ref()
-                .map(|t| (t.track.clone(), t.last_barrier))
-        };
-        let shards = &self.shards;
-        if let Some(auditor) = self.auditor.as_mut() {
-            let _span = audit_span
-                .as_ref()
-                .map(|(track, parent)| track.span(names::AUDIT, *parent));
-            auditor.audit(shards, period, rollbacks, &obs);
         }
+        let _span = inner
+            .trace
+            .as_ref()
+            .map(|t| t.track.span(names::AUDIT, t.last_barrier));
+        auditor.audit(&self.shards, self.periods, rollbacks, obs);
     }
 
     /// Flush + finalize every shard (harvest last-period CLOCK flags), with
@@ -1079,7 +1042,7 @@ impl ParallelLtc {
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy.
     pub fn finish(&mut self) -> Result<(), RuntimeError> {
-        self.broadcast_and_wait(Ctrl::Finish)
+        self.barrier(Some(Ctrl::Finish))
     }
 
     /// Drain the pipeline: flush pending batches and wait until every live
@@ -1091,37 +1054,57 @@ impl ParallelLtc {
     /// itself still completed on every live shard, so degraded queries may
     /// proceed (the trait impls do exactly that).
     pub fn sync(&self) -> Result<(), RuntimeError> {
+        self.barrier(None)
+    }
+
+    /// The epoch barrier behind [`sync`](ParallelLtc::sync),
+    /// [`end_period`](ParallelLtc::end_period),
+    /// [`finish`](ParallelLtc::finish) and shutdown. In order:
+    ///
+    /// 1. flush every lane's pending batch;
+    /// 2. enqueue `ctrl` (if any) behind it on every live queue;
+    /// 3. wait until every live worker has acknowledged everything sent,
+    ///    supervising deaths along the way — a restarted worker is re-sent
+    ///    `ctrl` so the in-flight barrier completes;
+    /// 4. close the `barrier_wait` span and record `barrier_wait_ns`.
+    ///
+    /// The span opens after the flush pass, parented under the most recent
+    /// `batch_enqueue` (so the drained batch's causal tree contains the
+    /// wait that drained it), and its context rides inside `ctrl`.
+    fn barrier(&self, ctrl: Option<Ctrl>) -> Result<(), RuntimeError> {
+        let obs = self.obs.as_deref();
         let mut inner = lock_recover(&self.inner);
         let Inner { lanes, trace } = &mut *inner;
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            if let Some(shard) = self.shards.get(shard_index) {
-                if !flush_lane(lane, self.batch_size, trace.as_mut()) {
-                    supervise_lane(
-                        lane,
-                        shard,
-                        shard_index,
-                        &self.policy,
-                        None,
-                        self.obs.as_deref(),
-                    );
+        for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
+            if !flush_lane(lane, self.batch_size, trace.as_mut()) {
+                supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
+            }
+        }
+        let pending = trace.as_ref().map(|t| t.track.begin(t.last_enqueue));
+        if let Some(ctrl) = ctrl {
+            let barrier_ctx = pending.as_ref().map(|p| p.ctx);
+            for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
+                if lane.lossy.is_some() {
+                    continue;
+                }
+                lane.sent = lane.sent.saturating_add(1);
+                if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
+                    supervise_lane(lane, shard, shard_index, &self.policy, Some(ctrl), obs);
                 }
             }
         }
-        // The barrier span parents under the most recent enqueue, so the
-        // drained batch's tree contains the wait that drained it.
-        let barrier = trace
-            .as_ref()
-            .map(|t| (t.track.clone(), t.track.begin(t.last_enqueue)));
-        let start = self.obs.as_ref().map(|_| Instant::now());
-        self.wait_all(lanes, None);
-        if let (Some(obs), Some(start)) = (&self.obs, start) {
+        let start = obs.map(|_| Instant::now());
+        for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
+            while lane.lossy.is_none() && lane.progress.wait_for(lane.sent).is_err() {
+                supervise_lane(lane, shard, shard_index, &self.policy, ctrl, obs);
+            }
+        }
+        if let (Some(obs), Some(start)) = (obs, start) {
             obs.barrier_wait_ns.record(elapsed_ns(start));
         }
-        if let Some((track, pending)) = barrier {
-            track.finish(&pending, names::BARRIER_WAIT);
-            if let Some(t) = trace.as_mut() {
-                t.last_barrier = Some(pending.ctx);
-            }
+        if let (Some(t), Some(pending)) = (trace.as_mut(), pending) {
+            t.track.finish(&pending, names::BARRIER_WAIT);
+            t.last_barrier = Some(pending.ctx);
         }
         runtime_result(lanes)
     }
@@ -1151,138 +1134,6 @@ impl ParallelLtc {
             .collect()
     }
 
-    /// Wait for every live lane to ack everything sent, supervising lanes
-    /// whose worker dies while we wait. `resend` is re-broadcast to a
-    /// restarted worker so an in-flight barrier completes.
-    fn wait_all(&self, lanes: &mut [Lane], resend: Option<Ctrl>) {
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            let Some(shard) = self.shards.get(shard_index) else {
-                continue;
-            };
-            loop {
-                if lane.lossy.is_some() {
-                    break;
-                }
-                let target = lane.sent;
-                match lane.progress.wait_for(target) {
-                    Ok(()) => break,
-                    Err(BarrierPoisoned) => {
-                        supervise_lane(
-                            lane,
-                            shard,
-                            shard_index,
-                            &self.policy,
-                            resend,
-                            self.obs.as_deref(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flush, enqueue a control message on every live queue, and wait for
-    /// full acknowledgment (supervising any deaths along the way). The
-    /// barrier's `barrier_wait` span opens after the flush pass (parented
-    /// under the last `batch_enqueue`, so the batch's tree contains it),
-    /// ships its context inside the control messages, and closes once
-    /// every worker has acknowledged.
-    fn broadcast_and_wait(&mut self, ctrl: Ctrl) -> Result<(), RuntimeError> {
-        let policy = self.policy;
-        let batch_size = self.batch_size;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Inner { lanes, trace } = inner;
-        // Pass 1: flush every lane's pending batch.
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
-            if !flush_lane(lane, batch_size, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, &policy, None, obs.as_deref());
-            }
-        }
-        // The barrier span covers enqueueing the control messages and the
-        // wait for acknowledgment.
-        let barrier = trace
-            .as_ref()
-            .map(|t| (t.track.clone(), t.track.begin(t.last_enqueue)));
-        let barrier_ctx = barrier.as_ref().map(|(_, p)| p.ctx);
-        // Pass 2: enqueue the control message on every live queue.
-        for (shard_index, lane) in lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
-            if lane.lossy.is_some() {
-                continue;
-            }
-            lane.sent = lane.sent.saturating_add(1);
-            if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
-                supervise_lane(
-                    lane,
-                    shard,
-                    shard_index,
-                    &policy,
-                    Some(ctrl),
-                    obs.as_deref(),
-                );
-            }
-        }
-        let start = obs.as_ref().map(|_| Instant::now());
-        self.wait_all_mut(ctrl);
-        if let (Some(obs), Some(start)) = (&obs, start) {
-            obs.barrier_wait_ns.record(elapsed_ns(start));
-        }
-        let inner = self.inner_mut();
-        if let Some((track, pending)) = barrier {
-            track.finish(&pending, names::BARRIER_WAIT);
-            if let Some(t) = inner.trace.as_mut() {
-                t.last_barrier = Some(pending.ctx);
-            }
-        }
-        runtime_result(&inner.lanes)
-    }
-
-    /// `wait_all` over `&mut self` (avoids borrowing `self.shards` and
-    /// `self.inner` through the same reference).
-    fn wait_all_mut(&mut self, ctrl: Ctrl) {
-        let policy = self.policy;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for (shard_index, lane) in inner.lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
-            loop {
-                if lane.lossy.is_some() {
-                    break;
-                }
-                let target = lane.sent;
-                match lane.progress.wait_for(target) {
-                    Ok(()) => break,
-                    Err(BarrierPoisoned) => {
-                        supervise_lane(
-                            lane,
-                            shard,
-                            shard_index,
-                            &policy,
-                            Some(ctrl),
-                            obs.as_deref(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Stop the workers (after draining everything queued) and reassemble
     /// the shards into a single-threaded [`ShardedLtc`] for further use —
     /// the inverse of spinning the runtime up. The shutdown barrier rides
@@ -1306,10 +1157,9 @@ impl ParallelLtc {
     /// state, and their terminal faults ride along. The shutdown barrier
     /// rides the [`spsc`](crate::spsc) rings.
     pub fn into_sharded_lossy(mut self) -> (ShardedLtc, Vec<WorkerFault>) {
-        let _ = self.broadcast_and_wait(Ctrl::Shutdown);
-        let inner = self.inner_mut();
+        let _ = self.barrier(Some(Ctrl::Shutdown));
         let mut faults = Vec::new();
-        for lane in &mut inner.lanes {
+        for lane in &mut inner_mut(&mut self.inner).lanes {
             if let Some(handle) = lane.worker.take() {
                 let _ = handle.join();
             }
@@ -1392,57 +1242,29 @@ impl ParallelLtc {
     /// and a full retry budget (the operator restored on purpose).
     pub(crate) fn reset_after_restore(&mut self) {
         self.restores = self.restores.saturating_add(1);
-        let policy = self.policy;
-        let batch_size = self.batch_size;
-        let obs = self.obs.clone();
-        let shards = &self.shards;
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for (shard_index, lane) in inner.lanes.iter_mut().enumerate() {
-            let Some(shard) = shards.get(shard_index) else {
-                continue;
-            };
+        let obs = self.obs.as_deref();
+        let inner = inner_mut(&mut self.inner);
+        for (shard_index, (lane, shard)) in inner.lanes.iter_mut().zip(&self.shards).enumerate() {
             *lock_recover(&lane.last_good) = lock_recover(shard).to_snapshot();
             lane.restarts = 0;
             lane.records_lost = 0;
             lane.last_fault_seq = None;
-            lane.pending = Vec::with_capacity(batch_size);
+            lane.pending = Vec::with_capacity(self.batch_size);
             if lane.lossy.take().is_some() {
-                lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
-                lane.progress = Arc::new(Progress::new());
-                lane.fault = Arc::new(Mutex::new(None));
-                lane.sent = 0;
-                let ctx = WorkerCtx {
-                    shard_index,
-                    queue: Arc::clone(&lane.queue),
-                    shard: Arc::clone(shard),
-                    progress: Arc::clone(&lane.progress),
-                    fault: Arc::clone(&lane.fault),
-                    last_good: Arc::clone(&lane.last_good),
-                    checkpoint_every: policy.checkpoint_every_periods,
-                    obs: lane.obs.clone(),
-                    trace: lane.trace.clone(),
-                };
-                match spawn_worker(ctx) {
-                    Ok(handle) => lane.worker = Some(handle),
-                    Err(fault) => {
-                        if let Some(o) = &obs {
-                            if let Some(seq) = o.note_fault(
-                                shard_index as u64,
-                                fault.kind.name(),
-                                fault.kind.code(),
-                            ) {
-                                lane.last_fault_seq = Some(seq);
-                            }
-                        }
-                        lane.queue.poison();
-                        lane.lossy = Some(fault);
-                    }
-                }
+                let checkpoint_every = self.policy.checkpoint_every_periods;
+                spawn_worker(lane, shard, shard_index, checkpoint_every, obs);
             }
         }
+    }
+}
+
+/// Statically exclusive access to the lanes (no runtime locking). A free
+/// function over the field, so callers keep disjoint borrows of the rest
+/// of the runtime.
+fn inner_mut(inner: &mut Mutex<Inner>) -> &mut Inner {
+    match inner.get_mut() {
+        Ok(inner) => inner,
+        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -1461,10 +1283,7 @@ impl Drop for ParallelLtc {
         // `into_sharded_lossy` already drained and joined (lanes emptied of
         // workers); otherwise stop cleanly without asserting — a dead
         // worker's queue refuses the message, which is fine.
-        let inner = match self.inner.get_mut() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let inner = inner_mut(&mut self.inner);
         for lane in &mut inner.lanes {
             if lane.worker.is_some() {
                 let _ = lane.queue.push(Msg::Shutdown);

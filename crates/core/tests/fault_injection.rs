@@ -183,6 +183,36 @@ fn worker_panic_during_end_period_completes_the_barrier() {
     assert_eq!(p.try_top_k(3).expect("no lossy shards").len(), 3);
 }
 
+#[test]
+fn worker_panic_during_shutdown_resends_the_shutdown() {
+    // The shutdown barrier flushes a pending batch the worker dies on; the
+    // supervisor must restore, respawn, and re-send `Shutdown` so
+    // `into_sharded` returns instead of hanging.
+    let _guard = scenario();
+    let mut p = runtime(1, 8);
+    for i in 0..100u64 {
+        p.insert(i % 10);
+    }
+    p.end_period().expect("healthy runtime"); // checkpoint at this boundary
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
+    for i in 0..4u64 {
+        p.insert(1_000 + i); // below the batch size: still pending
+    }
+    let recovered = p.into_sharded().expect("shutdown completed after restart");
+    failpoint::clear();
+
+    let mut reference = ShardedLtc::new(config(), 1);
+    for i in 0..100u64 {
+        reference.insert(i % 10);
+    }
+    reference.end_period();
+    assert_eq!(
+        format!("{:?}", recovered.shard(0)),
+        format!("{:?}", reference.shard(0)),
+        "recovered shard must be exactly the last period boundary"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Acceptance scenario 2: restart budget exhaustion → graceful degradation.
 

@@ -89,7 +89,6 @@ fn manual_policy() -> DurabilityPolicy {
     DurabilityPolicy {
         interval: Duration::from_secs(3_600),
         full_every: 8,
-        max_chain_len: 16,
         faults: FaultPolicy::no_backoff(),
         on_fault: OnFault::Degrade,
     }
@@ -339,6 +338,54 @@ fn torn_full_base_abandons_its_whole_chain() {
         acknowledged,
         "round 1 rode the torn chain"
     );
+    q.finish().expect("healthy");
+}
+
+#[test]
+fn prune_clamp_keeps_the_whole_previous_chain() {
+    // Two whole chains of `full_every + 1` frames each: the clamp must keep
+    // chain 1's base on disk while chain 2 rides a corrupt compaction, so
+    // restore can fall back onto chain 1's newest delta.
+    let _guard = scenario();
+    let scratch = ScratchDir::new("prune-clamp");
+    let mut p = runtime(2, 8);
+    let policy = DurabilityPolicy {
+        full_every: 3,
+        ..manual_policy()
+    };
+    let service =
+        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
+    // Chain 1: base (generation 1) + 3 deltas (generations 2..=4).
+    for round in 0..4 {
+        ingest_round(&mut p, round);
+        service.checkpoint_now().expect("chain 1");
+    }
+    // Chain 2's base is the compaction — corrupted as it is published.
+    ingest_round(&mut p, 4);
+    failpoint::configure(
+        "checkpoint::compact",
+        FailAction::CorruptByte { offset: 100 },
+        FireSpec::once(),
+    );
+    assert_eq!(service.checkpoint_now().unwrap(), 5, "corrupt compaction");
+    failpoint::clear();
+    // 3 deltas on the corrupt base (generations 6..=8).
+    for round in 5..8 {
+        ingest_round(&mut p, round);
+        service.checkpoint_now().expect("chain 2 delta");
+    }
+    let status = service.status();
+    assert_eq!(status.compactions, 1, "generation 5 was the compaction");
+    assert_eq!(status.chain_length, 3);
+    drop(service);
+    drop(p);
+    let mut q = runtime(2, 8);
+    assert_eq!(
+        q.restore_from(&store_at(scratch.path())).unwrap(),
+        4,
+        "chain 2 abandoned, chain 1's last delta restored"
+    );
+    assert_eq!(q.to_checkpoint(), reference_frame(3), "replay agrees");
     q.finish().expect("healthy");
 }
 
