@@ -20,7 +20,7 @@
 use ltc_bench::scale;
 use ltc_common::Weights;
 use ltc_core::obs::RuntimeObs;
-use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc, Variant};
+use ltc_core::{LtcConfig, ParallelLtc, Variant};
 use ltc_workloads::generator::zipf_samples;
 use serde::Serialize;
 use std::sync::Arc;
@@ -102,13 +102,8 @@ fn main() {
     let stream = zipf_samples(records, distinct as u64, SKEW, 42);
 
     let run = |obs: Option<Arc<RuntimeObs>>| -> f64 {
-        let mut pipeline = ParallelLtc::with_observability(
-            config(per_period, buckets),
-            THREADS,
-            BATCH,
-            FaultPolicy::default(),
-            obs,
-        );
+        let mut pipeline =
+            ParallelLtc::with_observability(config(per_period, buckets), THREADS, BATCH, obs);
         let start = Instant::now();
         for period in stream.chunks(per_period) {
             pipeline.insert_batch(period);

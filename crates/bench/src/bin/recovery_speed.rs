@@ -22,7 +22,7 @@ use ltc_bench::scale;
 use ltc_common::Weights;
 use ltc_core::checkpoint::Checkpointer;
 use ltc_core::durability::{DurabilityPolicy, DurabilityService};
-use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc, Variant};
+use ltc_core::{LtcConfig, ParallelLtc, Variant};
 use ltc_workloads::generator::zipf_samples;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -163,7 +163,6 @@ fn main() {
                 DurabilityPolicy {
                     interval: Duration::from_millis(100),
                     full_every: 8,
-                    faults: FaultPolicy::default(),
                     on_fault: Default::default(),
                 },
             )

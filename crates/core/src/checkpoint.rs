@@ -34,8 +34,8 @@
 //!
 //! ## Atomic publication
 //!
-//! [`Checkpointer::save`] writes `prefix.NNN….tmp`, fsyncs it, then
-//! atomically renames it to `prefix.NNN….ckpt` (and fsyncs the directory):
+//! [`Checkpointer::save`] writes `ltc.NNN….tmp`, fsyncs it, then
+//! atomically renames it to `ltc.NNN….ckpt` (and fsyncs the directory):
 //! a crash leaves either the complete new generation or none — never a
 //! half-written `.ckpt`. Restore walks generations newest-first and takes
 //! the first frame that decodes cleanly, so even a corrupted published
@@ -59,13 +59,13 @@
 
 use crate::config::LtcConfig;
 use crate::failpoint::{io_fault, FailAction};
-use crate::lock_recover;
 use crate::obs::trace::names;
 use crate::obs::RuntimeObs;
 use crate::pipeline::ParallelLtc;
 use crate::sharded::ShardedLtc;
 use crate::snapshot::SnapshotError;
 use crate::table::Ltc;
+use crate::{elapsed_ns, lock_recover};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -575,8 +575,7 @@ impl ParallelLtc {
         }
         let generation = result?;
         if let Some(obs) = self.obs() {
-            let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            obs.note_checkpoint_publish(generation, elapsed);
+            obs.note_checkpoint_publish(generation, elapsed_ns(start));
         }
         Ok(generation)
     }
@@ -588,15 +587,17 @@ impl ParallelLtc {
     /// delta recorded) and applies the delta on top. A delta whose base is
     /// missing, unreadable, or CRC-mismatched is skipped like a corrupt
     /// frame — the chain falls back a generation. Returns the generation
-    /// restored. When the runtime is observable, the restore latency lands
-    /// in `ltc_checkpoint_restore_ns`, every newer generation that was
-    /// skipped bumps `ltc_checkpoint_fallbacks_total` (broken chains also
-    /// bump `ltc_chain_fallbacks_total` and journal a `chain_fallback`
-    /// event), and a `checkpoint_restore` journal event carries the
-    /// restored generation.
+    /// restored. When the runtime is observable, every skipped generation
+    /// bumps `ltc_checkpoint_fallbacks_total` — also when none validates,
+    /// so "nothing on disk" (0) reads apart from "everything corrupt" —
+    /// and broken chains also bump `ltc_chain_fallbacks_total` and journal
+    /// a `chain_fallback` event. A successful restore lands its latency in
+    /// `ltc_checkpoint_restore_ns` and journals a `checkpoint_restore`
+    /// event carrying the generation.
     ///
     /// # Errors
-    /// [`CheckpointError::NoCheckpoint`] if no generation validates.
+    /// [`CheckpointError::NoCheckpoint`] if no generation validates;
+    /// [`CheckpointError::Io`] if the store's directory cannot be read.
     pub fn restore_from(&mut self, store: &Checkpointer) -> Result<u64, CheckpointError> {
         let obs = self.obs().cloned();
         // A restore starts a new causal epoch, so its span is a root.
@@ -604,25 +605,25 @@ impl ParallelLtc {
         let pending = trace.as_ref().map(|(track, _)| track.begin(None));
         let start = std::time::Instant::now();
         let mut skipped = 0u64;
-        let mut outcome = Err(CheckpointError::NoCheckpoint);
-        for generation in store.generations()?.into_iter().rev() {
-            match self.try_restore_generation(store, generation) {
-                Ok(()) => {
-                    if let Some(obs) = obs {
-                        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        obs.checkpoint_fallbacks.add(skipped);
-                        obs.note_checkpoint_restore(generation, elapsed);
+        let outcome = store.generations().and_then(|generations| {
+            for generation in generations.into_iter().rev() {
+                match self.try_restore_generation(store, generation) {
+                    Ok(()) => return Ok(generation),
+                    Err(CheckpointError::BrokenChain { delta, .. }) => {
+                        if let Some(obs) = obs.as_ref() {
+                            obs.note_chain_fallback(delta);
+                        }
                     }
-                    outcome = Ok(generation);
-                    break;
+                    Err(_) => {}
                 }
-                Err(CheckpointError::BrokenChain { delta, .. }) => {
-                    if let Some(obs) = obs.as_ref() {
-                        obs.note_chain_fallback(delta);
-                    }
-                    skipped = skipped.saturating_add(1);
-                }
-                Err(_) => skipped = skipped.saturating_add(1),
+                skipped = skipped.saturating_add(1);
+            }
+            Err(CheckpointError::NoCheckpoint)
+        });
+        if let Some(obs) = obs {
+            obs.checkpoint_fallbacks.add(skipped);
+            if let Ok(generation) = outcome {
+                obs.note_checkpoint_restore(generation, elapsed_ns(start));
             }
         }
         if let (Some((track, _)), Some(p)) = (&trace, &pending) {
@@ -762,7 +763,7 @@ pub(crate) fn save_full_over(
     let frame = encode_frame(configs_fingerprint(fingerprint_configs.iter()), &sections);
     let generation = store.save_with_site(&frame, site)?;
     if let Some(obs) = obs {
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let elapsed = elapsed_ns(start);
         if compaction {
             obs.note_compaction(generation, elapsed);
         } else {
@@ -801,8 +802,7 @@ pub(crate) fn save_delta_over(
     let generation = store.save_with_site(&frame, "checkpoint::delta_write")?;
     chain.length = chain.length.saturating_add(1);
     if let Some(obs) = obs {
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        obs.note_delta_publish(generation, elapsed, u64::from(chain.length));
+        obs.note_delta_publish(generation, elapsed_ns(start), u64::from(chain.length));
     }
     Ok(generation)
 }
@@ -820,40 +820,30 @@ fn peek_delta(bytes: &[u8]) -> Option<DeltaChain> {
 // ---------------------------------------------------------------------------
 // Checkpointer — atomic generation files on disk.
 
+/// File-name prefix of every generation: `ltc.<generation>.ckpt`.
+const FILE_PREFIX: &str = "ltc";
+
 /// Writes checkpoint frames to a directory as numbered generations
-/// (`<prefix>.<generation>.ckpt`), each published atomically (temp file +
+/// (`ltc.<generation>.ckpt`), each published atomically (temp file +
 /// fsync + rename + directory fsync), pruned to the newest `keep`
-/// generations. Restore helpers walk generations newest-first so a
-/// corrupted latest image falls back to the previous one.
+/// generations. [`ParallelLtc::restore_from`] walks them newest-first so
+/// a corrupted latest image falls back to the previous one.
 #[derive(Debug, Clone)]
 pub struct Checkpointer {
     dir: PathBuf,
-    prefix: String,
     keep: usize,
 }
 
 impl Checkpointer {
-    /// A checkpointer over `dir` (created if missing), file prefix `"ltc"`,
-    /// keeping the newest 3 generations.
+    /// A checkpointer over `dir` (created if missing), keeping the newest
+    /// 3 generations.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] if the directory cannot be created.
     pub fn new(dir: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err(&e))?;
-        Ok(Self {
-            dir,
-            prefix: "ltc".to_string(),
-            keep: 3,
-        })
-    }
-
-    /// Use `prefix` for checkpoint file names (several checkpointers can
-    /// share a directory under distinct prefixes).
-    #[must_use]
-    pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefix = prefix.into();
-        self
+        Ok(Self { dir, keep: 3 })
     }
 
     /// Keep the newest `keep` generations (≥ 2 recommended: fallback needs
@@ -871,7 +861,7 @@ impl Checkpointer {
 
     fn path_for(&self, generation: u64) -> PathBuf {
         self.dir
-            .join(format!("{}.{generation:020}.ckpt", self.prefix))
+            .join(format!("{FILE_PREFIX}.{generation:020}.ckpt"))
     }
 
     /// Generation numbers currently on disk, oldest first.
@@ -885,7 +875,7 @@ impl Checkpointer {
             let entry = entry.map_err(|e| io_err(&e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix(self.prefix.as_str()) else {
+            let Some(rest) = name.strip_prefix(FILE_PREFIX) else {
                 continue;
             };
             let Some(middle) = rest.strip_prefix('.') else {
@@ -943,27 +933,6 @@ impl Checkpointer {
         self.write_atomic(&self.path_for(generation), frame, site)?;
         self.prune()?;
         Ok(generation)
-    }
-
-    /// Restore via `try_restore`, walking generations newest-first and
-    /// returning the first generation it accepts. Unreadable or rejected
-    /// images are skipped (that is the crash-fallback path).
-    ///
-    /// # Errors
-    /// [`CheckpointError::NoCheckpoint`] if every generation is rejected.
-    pub fn restore_with(
-        &self,
-        mut try_restore: impl FnMut(&[u8]) -> Result<(), CheckpointError>,
-    ) -> Result<u64, CheckpointError> {
-        for generation in self.generations()?.into_iter().rev() {
-            let Ok(bytes) = self.load(generation) else {
-                continue;
-            };
-            if try_restore(&bytes).is_ok() {
-                return Ok(generation);
-            }
-        }
-        Err(CheckpointError::NoCheckpoint)
     }
 
     /// All checkpoint I/O funnels through here: write the temp file, fsync
@@ -1276,40 +1245,6 @@ mod tests {
             store.save(payload).unwrap();
         }
         assert_eq!(store.generations().unwrap(), vec![3, 4]);
-    }
-
-    #[test]
-    fn restore_falls_back_past_corrupted_generation() {
-        let scratch = ScratchDir::new("fallback");
-        let store = Checkpointer::new(scratch.path()).unwrap();
-        let good = loaded_table();
-        store.save(&good.to_checkpoint()).unwrap();
-        // Generation 2 is torn: a valid frame prefix, as a crash that beat
-        // the atomic rename discipline would leave (simulated directly).
-        let torn = good.to_checkpoint();
-        store.save(&torn[..torn.len() / 2]).unwrap();
-        let mut restored = Ltc::new(config());
-        let generation = store
-            .restore_with(|bytes| restored.restore_checkpoint(bytes))
-            .unwrap();
-        assert_eq!(generation, 1, "fell back to the previous generation");
-        assert_eq!(restored.top_k(5), good.top_k(5));
-    }
-
-    #[test]
-    fn restore_with_no_valid_generation_errors() {
-        let scratch = ScratchDir::new("empty");
-        let store = Checkpointer::new(scratch.path()).unwrap();
-        let mut table = Ltc::new(config());
-        assert_eq!(
-            store.restore_with(|bytes| table.restore_checkpoint(bytes)),
-            Err(CheckpointError::NoCheckpoint)
-        );
-        store.save(b"garbage").unwrap();
-        assert_eq!(
-            store.restore_with(|bytes| table.restore_checkpoint(bytes)),
-            Err(CheckpointError::NoCheckpoint)
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! LTC configuration: table shape, significance weights, period driving,
-//! which of the paper's optimizations are enabled, and the supervision
+//! which of the paper's optimizations are enabled, and the fixed fault
 //! policy of the parallel runtime.
 
 use ltc_common::{memory::LTC_CELL_BYTES, MemoryBudget, Weights};
@@ -117,53 +117,27 @@ impl LtcConfig {
     }
 }
 
-/// Supervision knobs for [`crate::pipeline::ParallelLtc`]: how hard the
-/// coordinator tries to revive a dead shard worker before degrading the
-/// shard to lossy, and how often workers checkpoint their shard state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPolicy {
-    /// Worker restarts allowed per shard before it is marked lossy.
-    pub max_restarts: u32,
-    /// Backoff before the first restart; doubles per subsequent restart.
-    pub backoff_base: Duration,
-    /// Cap on the exponential backoff.
-    pub backoff_max: Duration,
-    /// Capture an in-memory recovery checkpoint every this many completed
-    /// periods (≥ 1). Restarted workers resume from the latest capture;
-    /// records since then are lost (and counted).
-    pub checkpoint_every_periods: u32,
-}
+// The one fault policy of the supervised runtime, shared by the worker
+// supervisor (`crate::pipeline`) and the durability service
+// (`crate::durability`). Fixed rather than configurable: the paper's
+// analysis has no fault knobs, and one policy is one configuration to test.
 
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        Self {
-            max_restarts: 3,
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(500),
-            checkpoint_every_periods: 1,
-        }
-    }
-}
+/// Worker restarts per shard before the shard degrades to lossy; also the
+/// retries a failed checkpoint save gets after its first attempt.
+pub(crate) const MAX_RESTARTS: u32 = 3;
 
-impl FaultPolicy {
-    /// A test-friendly policy: default budget, no sleeping between
-    /// restarts.
-    pub fn no_backoff() -> Self {
-        Self {
-            backoff_base: Duration::ZERO,
-            ..Self::default()
-        }
-    }
+/// Backoff before the first restart or retry; doubles per subsequent one.
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
 
-    /// Backoff before restart number `restart` (1-based): `base · 2^(r−1)`,
-    /// capped at [`backoff_max`](FaultPolicy::backoff_max).
-    pub fn backoff_for(&self, restart: u32) -> Duration {
-        let shift = restart.saturating_sub(1).min(20);
-        let factor = 1u32.checked_shl(shift).unwrap_or(u32::MAX);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_max)
-    }
+/// Cap on the doubling backoff.
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+
+/// Backoff before restart (or retry) number `restart` (1-based):
+/// `BACKOFF_BASE · 2^(r−1)`, capped at `BACKOFF_MAX`.
+pub(crate) fn backoff_for(restart: u32) -> Duration {
+    let shift = restart.saturating_sub(1).min(20);
+    let factor = 1u32.checked_shl(shift).unwrap_or(u32::MAX);
+    BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_MAX)
 }
 
 /// Builder for [`LtcConfig`].
@@ -306,26 +280,15 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = FaultPolicy {
-            max_restarts: 10,
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(65),
-            checkpoint_every_periods: 1,
-        };
-        assert_eq!(policy.backoff_for(1), Duration::from_millis(10));
-        assert_eq!(policy.backoff_for(2), Duration::from_millis(20));
-        assert_eq!(policy.backoff_for(3), Duration::from_millis(40));
-        assert_eq!(policy.backoff_for(4), Duration::from_millis(65), "capped");
-        assert_eq!(policy.backoff_for(u32::MAX), Duration::from_millis(65));
-    }
-
-    #[test]
-    fn no_backoff_policy_never_sleeps() {
-        let policy = FaultPolicy::no_backoff();
-        assert_eq!(policy.max_restarts, FaultPolicy::default().max_restarts);
-        for r in 1..=5 {
-            assert!(policy.backoff_for(r).is_zero());
-        }
+        let ms = Duration::from_millis;
+        let schedule: Vec<Duration> = (1..=9).map(backoff_for).collect();
+        assert_eq!(
+            schedule,
+            [5, 10, 20, 40, 80, 160, 320, 500, 500].map(ms),
+            "5 ms doubling, capped at 500 ms"
+        );
+        assert_eq!(backoff_for(0), ms(5), "restart 0 clamps to the base");
+        assert_eq!(backoff_for(u32::MAX), ms(500));
     }
 
     #[test]

@@ -22,15 +22,15 @@
 //! ## Fault handling
 //!
 //! A failed save (fsync error, rename error, disk full — or an injected
-//! failpoint) is retried under the service's [`FaultPolicy`]: up to
-//! `max_restarts` retries with the same exponential backoff the worker
-//! supervisor uses. A failed **full** save clears the chain — the dirty
-//! epochs were already opened, so the service must not fall back to delta
-//! frames until a full frame lands (a full frame never depends on dirty
-//! state, so nothing is lost by retrying). Once the budget is exhausted
-//! the [`OnFault`] policy decides: `Degrade` skips the tick and tries
-//! again at the next one (durability lags, ingest is unaffected);
-//! `Stop` shuts the service down and flags it in
+//! failpoint) is retried under the fixed policy the worker supervisor
+//! uses: up to 3 retries after the first attempt, waiting 5 ms before the
+//! first and doubling per retry up to a 500 ms cap. A failed **full** save
+//! clears the chain — the dirty epochs were already opened, so the service
+//! must not fall back to delta frames until a full frame lands (a full
+//! frame never depends on dirty state, so nothing is lost by retrying).
+//! Once the budget is exhausted the [`OnFault`] policy decides: `Degrade`
+//! skips the tick and tries again at the next one (durability lags,
+//! ingest is unaffected); `Stop` shuts the service down and flags it in
 //! [`DurabilityStatus::stopped_on_fault`].
 //!
 //! ## Prune safety
@@ -53,7 +53,7 @@
 use crate::checkpoint::{
     save_delta_over, save_full_over, CheckpointError, Checkpointer, DeltaChain,
 };
-use crate::config::FaultPolicy;
+use crate::config::{backoff_for, MAX_RESTARTS};
 use crate::lock_recover;
 use crate::obs::trace::{names, TraceTrack};
 use crate::obs::RuntimeObs;
@@ -88,10 +88,8 @@ pub struct DurabilityPolicy {
     /// `0` makes every frame full. Also sets the prune clamp,
     /// `2·full_every + 2` — see the module docs.
     pub full_every: u32,
-    /// Retry budget and backoff for failed saves (reuses the worker
-    /// supervisor's policy type).
-    pub faults: FaultPolicy,
-    /// Behaviour once the retry budget is exhausted.
+    /// Behaviour once the retry budget is exhausted (see the module docs
+    /// for the fixed budget and backoff).
     pub on_fault: OnFault,
 }
 
@@ -100,7 +98,6 @@ impl Default for DurabilityPolicy {
         Self {
             interval: Duration::from_millis(200),
             full_every: 8,
-            faults: FaultPolicy::default(),
             on_fault: OnFault::Degrade,
         }
     }
@@ -363,8 +360,8 @@ impl Worker {
         }
     }
 
-    /// One logical save — full or delta per the cadence — with the fault
-    /// policy's retry budget around it.
+    /// One logical save — full or delta per the cadence — with the fixed
+    /// retry budget ([`MAX_RESTARTS`] retries, [`backoff_for`]) around it.
     fn save_once(&mut self) -> Result<u64, CheckpointError> {
         let mut attempt = 0u32;
         loop {
@@ -377,16 +374,13 @@ impl Worker {
                 Err(error) => {
                     self.with_status(|s| s.failed_saves = s.failed_saves.saturating_add(1));
                     attempt = attempt.saturating_add(1);
-                    if attempt > self.policy.faults.max_restarts {
+                    if attempt > MAX_RESTARTS {
                         if self.policy.on_fault == OnFault::Stop {
                             self.with_status(|s| s.stopped_on_fault = true);
                         }
                         return Err(error);
                     }
-                    let backoff = self.policy.faults.backoff_for(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+                    std::thread::sleep(backoff_for(attempt));
                 }
             }
         }
@@ -508,7 +502,6 @@ mod tests {
     fn manual_policy() -> DurabilityPolicy {
         DurabilityPolicy {
             interval: Duration::from_secs(3_600),
-            faults: FaultPolicy::no_backoff(),
             ..DurabilityPolicy::default()
         }
     }
@@ -611,7 +604,6 @@ mod tests {
         runtime.sync().unwrap();
         let policy = DurabilityPolicy {
             interval: Duration::from_millis(5),
-            faults: FaultPolicy::no_backoff(),
             ..DurabilityPolicy::default()
         };
         let service =

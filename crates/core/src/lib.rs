@@ -75,9 +75,7 @@ pub mod window;
 pub use cell::Cell;
 pub use checkpoint::{CheckpointError, Checkpointer, DeltaChain};
 pub use clock::ClockPointer;
-pub use config::{
-    FaultPolicy, LtcConfig, LtcConfigBuilder, PeriodMode, Variant, MAX_CELLS_PER_BUCKET,
-};
+pub use config::{LtcConfig, LtcConfigBuilder, PeriodMode, Variant, MAX_CELLS_PER_BUCKET};
 pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus, OnFault};
 pub use merge::MergeError;
 pub use obs::{EventJournal, EventKind, MetricsRegistry, RuntimeObs};
@@ -98,4 +96,11 @@ pub(crate) fn lock_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGu
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Nanoseconds elapsed since `start`, clamped into `u64` (580 years — the
+/// clamp is for the type, not a reachable value).
+#[inline]
+pub(crate) fn elapsed_ns(start: std::time::Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

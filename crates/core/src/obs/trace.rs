@@ -40,6 +40,7 @@
 //! **best-effort**: it may observe a torn or duplicated span, never
 //! undefined behaviour (every slot word is atomic).
 
+use crate::elapsed_ns;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -406,7 +407,7 @@ impl Tracer {
 
     /// Nanoseconds since the tracer's monotonic anchor.
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.anchor.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        elapsed_ns(self.anchor)
     }
 }
 
@@ -446,7 +447,7 @@ pub struct PendingSpan {
 impl TraceTrack {
     /// Nanoseconds since the tracer's monotonic anchor.
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.anchor.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        elapsed_ns(self.anchor)
     }
 
     fn alloc_id(&self) -> u64 {

@@ -6,6 +6,8 @@
 //! the routing side accumulates each shard's records into a batch and sends
 //! whole batches, so queue synchronisation is paid once per batch while the
 //! workers ingest through the bit-exact [`Ltc::insert_batch`] hot path.
+//! Every record and control message crosses those [`spsc`](crate::spsc)
+//! queues, the crate's only unsafe code.
 //!
 //! ## Equivalence to the single-threaded runtime
 //!
@@ -32,20 +34,20 @@
 //!
 //! A shard worker that panics (a bug, a poisoned input, an injected
 //! failpoint) no longer aborts the process. The worker catches the unwind,
-//! reports a typed [`WorkerFault`] to the coordinator, poisons its queue
-//! (so the router can never block on it) and marks its [`Progress`] barrier
-//! dead (so a waiting `end_period` returns instead of deadlocking). The
-//! coordinator then *supervises* the lane:
+//! poisons its queue (so the router can never block on it), marks its
+//! [`Progress`] barrier dead (so a waiting `end_period` returns instead of
+//! deadlocking) and exits, returning a typed [`WorkerFault`] as the
+//! thread's result. The coordinator then *supervises* the lane under one
+//! fixed policy:
 //!
-//! 1. the dead worker is joined and its fault collected;
+//! 1. the dead worker is joined and its fault taken from the join;
 //! 2. the shard table is rolled back to its **last checkpoint** — a
-//!    snapshot the worker captures at every period boundary (configurable
-//!    via [`FaultPolicy::checkpoint_every_periods`]);
-//! 3. within the retry budget ([`FaultPolicy::max_restarts`]) a fresh
-//!    worker is spawned on a fresh queue after an exponential backoff, and
-//!    any barrier message still in flight is re-sent so the epoch
-//!    boundary completes;
-//! 4. once the budget is exhausted — or the OS refuses the replacement
+//!    snapshot the worker captures at every period boundary;
+//! 3. within the budget of 3 restarts per shard a fresh worker is spawned
+//!    on a fresh queue after a backoff of 5 ms, doubling per restart up to
+//!    a 500 ms cap, and any barrier message still in flight is re-sent so
+//!    the epoch boundary completes;
+//! 4. once the 3 restarts are spent — or the OS refuses the replacement
 //!    thread — the shard is marked **lossy**: records routed to it are
 //!    dropped (and counted), while queries keep serving the shard's
 //!    last-good state alongside the healthy shards.
@@ -65,8 +67,7 @@
 //! barrier), then read the shard tables under their locks and merge, so a
 //! query observes every record inserted before it.
 
-use crate::config::{FaultPolicy, LtcConfig};
-use crate::lock_recover;
+use crate::config::{backoff_for, LtcConfig, MAX_RESTARTS};
 use crate::obs::audit::HealthAuditor;
 use crate::obs::trace::{names, SpanCtx, TraceTrack};
 use crate::obs::{RuntimeObs, ShardObs};
@@ -74,6 +75,7 @@ use crate::sharded::{shard_of_id, ShardedLtc};
 use crate::spsc::SpscRing;
 use crate::stats::LtcStats;
 use crate::table::Ltc;
+use crate::{elapsed_ns, lock_recover};
 use ltc_common::{
     top_k_of, BatchStreamProcessor, Estimate, ItemId, MemoryUsage, SignificanceQuery,
     StreamProcessor,
@@ -81,13 +83,6 @@ use ltc_common::{
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Nanoseconds elapsed since `start`, clamped into `u64` (580 years — the
-/// clamp is for the type, not a reachable value).
-#[inline]
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
 
 /// Records accumulated per shard before a batch is handed to its worker.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
@@ -374,9 +369,7 @@ struct WorkerCtx {
     queue: Arc<SpscRing<Msg>>,
     shard: Arc<Mutex<Ltc>>,
     progress: Arc<Progress>,
-    fault: Arc<Mutex<Option<WorkerFault>>>,
     last_good: Arc<Mutex<Vec<u8>>>,
-    checkpoint_every: u32,
     /// Wait-free metric handles for this shard (`None` = metrics off).
     obs: Option<ShardObs>,
     /// This shard's span ring (`None` = tracing off). Wait-free record
@@ -394,12 +387,12 @@ struct Lane {
     sent: u64,
     queue: Arc<SpscRing<Msg>>,
     progress: Arc<Progress>,
-    /// The worker's fault report slot, written before `mark_dead`.
-    fault: Arc<Mutex<Option<WorkerFault>>>,
     /// The shard's last checkpoint (raw [`Ltc::to_snapshot`] bytes),
     /// refreshed by the worker at period boundaries.
     last_good: Arc<Mutex<Vec<u8>>>,
-    worker: Option<JoinHandle<()>>,
+    /// The live worker; it returns its fault (if it died of one) through
+    /// the join.
+    worker: Option<JoinHandle<Option<WorkerFault>>>,
     /// Restarts consumed from the budget.
     restarts: u32,
     /// `Some(fault)` once the budget is exhausted.
@@ -441,7 +434,6 @@ pub struct ParallelLtc {
     inner: Mutex<Inner>,
     shards: Vec<Arc<Mutex<Ltc>>>,
     batch_size: usize,
-    policy: FaultPolicy,
     /// Shared observability state (`None` = metrics off, for overhead
     /// comparison; the default constructors enable it).
     obs: Option<Arc<RuntimeObs>>,
@@ -459,34 +451,29 @@ impl std::fmt::Debug for ParallelLtc {
         f.debug_struct("ParallelLtc")
             .field("num_shards", &self.shards.len())
             .field("batch_size", &self.batch_size)
-            .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
 
-/// Start a worker for `lane` on a fresh queue, barrier and fault slot,
-/// over `shard`'s current state. If the OS refuses the thread, the lane
-/// degrades instead of panicking: the spawn fault is noted, then the lane
-/// goes lossy (see [`degrade`]).
+/// Start a worker for `lane` on a fresh queue and barrier, over `shard`'s
+/// current state. If the OS refuses the thread, the lane degrades instead
+/// of panicking: the spawn fault is noted, then the lane goes lossy (see
+/// [`degrade`]).
 fn spawn_worker(
     lane: &mut Lane,
     shard: &Arc<Mutex<Ltc>>,
     shard_index: usize,
-    checkpoint_every: u32,
     obs: Option<&RuntimeObs>,
 ) {
     lane.queue = Arc::new(fresh_ring(lane.obs.as_ref()));
     lane.progress = Arc::new(Progress::new());
-    lane.fault = Arc::new(Mutex::new(None));
     lane.sent = 0;
     let ctx = WorkerCtx {
         shard_index,
         queue: Arc::clone(&lane.queue),
         shard: Arc::clone(shard),
         progress: Arc::clone(&lane.progress),
-        fault: Arc::clone(&lane.fault),
         last_good: Arc::clone(&lane.last_good),
-        checkpoint_every,
         obs: lane.obs.clone(),
         trace: lane.trace.clone(),
     };
@@ -518,13 +505,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn worker_loop(ctx: &WorkerCtx) {
-    // Periods completed since the last checkpoint capture.
-    let mut epochs_since_checkpoint: u32 = 0;
+/// Apply messages until `Shutdown` or a torn-down queue (`None`), or
+/// until a handler panics: then poison the queue, mark the barrier dead
+/// and return the fault — the supervisor takes it from the join.
+fn worker_loop(ctx: &WorkerCtx) -> Option<WorkerFault> {
     loop {
         let Some(msg) = ctx.queue.pop() else {
             // Poisoned and drained: the supervisor tore this lane down.
-            return;
+            return None;
         };
         let stop = matches!(msg, Msg::Shutdown);
         // Pre-derive the apply span's identity from the shipped context
@@ -573,13 +561,9 @@ fn worker_loop(ctx: &WorkerCtx) {
                     fail_point!("worker::end_period");
                     let mut shard = lock_recover(&ctx.shard);
                     shard.end_period();
-                    epochs_since_checkpoint = epochs_since_checkpoint.saturating_add(1);
-                    if epochs_since_checkpoint >= ctx.checkpoint_every.max(1) {
-                        epochs_since_checkpoint = 0;
-                        let snapshot = shard.to_snapshot();
-                        drop(shard);
-                        *lock_recover(&ctx.last_good) = snapshot;
-                    }
+                    let snapshot = shard.to_snapshot();
+                    drop(shard);
+                    *lock_recover(&ctx.last_good) = snapshot;
                 }
                 Msg::Finish(_) => {
                     let mut shard = lock_recover(&ctx.shard);
@@ -598,20 +582,20 @@ fn worker_loop(ctx: &WorkerCtx) {
             if let (Some(t), Some((span, _, _))) = (&ctx.trace, &span_plan) {
                 t.event(names::WORKER_FAULT, Some(*span));
             }
-            // Typed fault next, then poison + mark dead: the router
-            // observes `dead` only after the report is in place.
-            *lock_recover(&ctx.fault) = Some(WorkerFault {
+            // Then poison + mark dead. The typed fault travels back as the
+            // thread's result: the supervisor's `join` both waits for this
+            // return and orders the read after it.
+            ctx.queue.poison();
+            ctx.progress.mark_dead();
+            return Some(WorkerFault {
                 shard: ctx.shard_index,
                 kind: FaultKind::Panic,
                 message: panic_message(payload.as_ref()),
             });
-            ctx.queue.poison();
-            ctx.progress.mark_dead();
-            return;
         }
         ctx.progress.bump();
         if stop {
-            return;
+            return None;
         }
     }
 }
@@ -711,14 +695,13 @@ fn degrade(lane: &mut Lane, shard_index: usize, fault: WorkerFault, obs: Option<
 
 /// Supervise a lane whose worker died: join it, salvage what the queue
 /// still holds, roll the shard back to its last checkpoint, and restart
-/// the worker (within the budget, after backoff) or mark the lane lossy.
-/// `resend` is the control message the current barrier still needs acked;
-/// it is re-enqueued to the restarted worker.
+/// the worker (within [`MAX_RESTARTS`], after [`backoff_for`]) or mark the
+/// lane lossy. `resend` is the control message the current barrier still
+/// needs acked; it is re-enqueued to the restarted worker.
 fn supervise_lane(
     lane: &mut Lane,
     shard: &Arc<Mutex<Ltc>>,
     shard_index: usize,
-    policy: &FaultPolicy,
     resend: Option<Ctrl>,
     obs: Option<&RuntimeObs>,
 ) {
@@ -726,17 +709,17 @@ fn supervise_lane(
         return;
     }
     // 1. The worker is gone (it poisoned the queue / marked the barrier
-    //    dead on its way out); joining cannot block.
-    if let Some(handle) = lane.worker.take() {
-        let _ = handle.join();
-    }
-    let fault = lock_recover(&lane.fault)
-        .take()
-        .unwrap_or_else(|| WorkerFault {
+    //    dead on its way out); joining cannot block, and hands back the
+    //    fault the worker returned.
+    let joined = lane.worker.take().map(JoinHandle::join);
+    let fault = match joined {
+        Some(Ok(Some(fault))) => fault,
+        _ => WorkerFault {
             shard: shard_index,
             kind: FaultKind::Silent,
             message: "worker exited without reporting a fault".to_string(),
-        });
+        },
+    };
     // Observe the fault before acting on it, so the journal seq exists by
     // the time health() can report the new state.
     note_fault(lane, shard_index, &fault, obs);
@@ -765,7 +748,7 @@ fn supervise_lane(
         o.note_rollback(shard_index as u64, lane.restarts as u64);
     }
     // 4. Budget check: degrade to lossy once restarts are exhausted.
-    if lane.restarts >= policy.max_restarts {
+    if lane.restarts >= MAX_RESTARTS {
         degrade(lane, shard_index, fault, obs);
         return;
     }
@@ -773,19 +756,10 @@ fn supervise_lane(
     if let Some(shard_obs) = &lane.obs {
         shard_obs.restarts.inc();
     }
-    let backoff = policy.backoff_for(lane.restarts);
-    if !backoff.is_zero() {
-        std::thread::sleep(backoff);
-    }
-    // 5. Fresh channel, barrier and fault slot; respawn from the restored
-    //    shard state (a refused spawn degrades the lane instead).
-    spawn_worker(
-        lane,
-        shard,
-        shard_index,
-        policy.checkpoint_every_periods,
-        obs,
-    );
+    std::thread::sleep(backoff_for(lane.restarts));
+    // 5. Fresh channel and barrier; respawn from the restored shard state
+    //    (a refused spawn degrades the lane instead).
+    spawn_worker(lane, shard, shard_index, obs);
     if lane.lossy.is_some() {
         return;
     }
@@ -804,9 +778,8 @@ fn supervise_lane(
 
 impl ParallelLtc {
     /// Spawn `num_shards` workers, each owning an LTC shard identical to
-    /// shard `i` of `ShardedLtc::new(config, num_shards)`, under the
-    /// default [`FaultPolicy`]. Workers receive batches over the
-    /// lock-free [`spsc`](crate::spsc) rings.
+    /// shard `i` of `ShardedLtc::new(config, num_shards)`, supervised
+    /// under the fixed fault policy of the module docs.
     pub fn new(config: LtcConfig, num_shards: usize) -> Self {
         Self::with_batch_size(config, num_shards, DEFAULT_BATCH_SIZE)
     }
@@ -814,42 +787,24 @@ impl ParallelLtc {
     /// [`new`](ParallelLtc::new) with an explicit hand-off batch size.
     /// Larger batches amortise queue synchronisation further but delay when
     /// workers see records; [`DEFAULT_BATCH_SIZE`] suits most streams.
-    /// Spawns workers on the [`spsc`](crate::spsc) rings.
+    /// Observability is on (a fresh [`RuntimeObs`]).
     pub fn with_batch_size(config: LtcConfig, num_shards: usize, batch_size: usize) -> Self {
-        Self::with_fault_policy(config, num_shards, batch_size, FaultPolicy::default())
-    }
-
-    /// Full-control constructor: explicit batch size and supervision
-    /// policy (retry budget, backoff, checkpoint cadence). Observability
-    /// is on (a fresh [`RuntimeObs`]); use
-    /// [`with_observability`](ParallelLtc::with_observability) to share a
-    /// registry or to turn metrics off. Spawns workers on the
-    /// [`spsc`](crate::spsc) rings.
-    pub fn with_fault_policy(
-        config: LtcConfig,
-        num_shards: usize,
-        batch_size: usize,
-        policy: FaultPolicy,
-    ) -> Self {
         Self::with_observability(
             config,
             num_shards,
             batch_size,
-            policy,
             Some(Arc::new(RuntimeObs::new())),
         )
     }
 
-    /// [`with_fault_policy`](ParallelLtc::with_fault_policy) with explicit
+    /// [`with_batch_size`](ParallelLtc::with_batch_size) with explicit
     /// observability: pass a shared [`RuntimeObs`] to aggregate several
     /// runtimes into one registry, or `None` to run with metrics off (the
-    /// mode the `obs_overhead` bench compares against). Spawns workers on
-    /// the [`spsc`](crate::spsc) rings.
+    /// mode the `obs_overhead` bench compares against).
     pub fn with_observability(
         config: LtcConfig,
         num_shards: usize,
         batch_size: usize,
-        policy: FaultPolicy,
         obs: Option<Arc<RuntimeObs>>,
     ) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
@@ -870,7 +825,6 @@ impl ParallelLtc {
                     sent: 0,
                     queue: Arc::new(fresh_ring(shard_obs.as_ref())),
                     progress: Arc::new(Progress::new()),
-                    fault: Arc::new(Mutex::new(None)),
                     // The initial checkpoint is the pristine shard: a worker
                     // that dies before its first period boundary rolls back
                     // to an empty (but correctly configured) table.
@@ -883,13 +837,7 @@ impl ParallelLtc {
                     trace: tracer.as_ref().map(|t| t.register(names::TRACK_SHARD)),
                     last_fault_seq: None,
                 };
-                spawn_worker(
-                    &mut lane,
-                    shard,
-                    i,
-                    policy.checkpoint_every_periods,
-                    obs.as_deref(),
-                );
+                spawn_worker(&mut lane, shard, i, obs.as_deref());
                 if let Some(fault) = &lane.lossy {
                     panic!("spawn shard worker: {fault}"); // lint:allow(no_panic): startup-only, cannot be handled locally
                 }
@@ -906,7 +854,6 @@ impl ParallelLtc {
             inner: Mutex::new(Inner { lanes, trace }),
             shards,
             batch_size,
-            policy,
             obs,
             auditor,
             periods: 0,
@@ -924,11 +871,6 @@ impl ParallelLtc {
         self.batch_size
     }
 
-    /// The supervision policy this runtime was built with.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-    }
-
     /// The runtime's observability state (registry + journal), or `None`
     /// when built with metrics off. Render exports with
     /// [`RuntimeObs::render_prometheus`] / [`RuntimeObs::render_json`];
@@ -941,8 +883,7 @@ impl ParallelLtc {
     /// draining the pipeline (so the counters cover every record routed
     /// before the call). Lossy shards contribute their last-good state.
     /// `periods` reports the stream's period count (see
-    /// [`ShardedLtc::stats`]). The drain rides the [`spsc`](crate::spsc)
-    /// rings.
+    /// [`ShardedLtc::stats`]).
     pub fn stats(&self) -> LtcStats {
         let _ = self.sync();
         let mut merged: LtcStats = self
@@ -960,16 +901,14 @@ impl ParallelLtc {
     /// Route one record to its shard's pending batch; hand the batch off
     /// when it fills. The hot path: one shard hash, one push, no locks.
     /// A dead worker is supervised transparently; records routed to a
-    /// lossy shard are dropped and counted. Hand-off goes over the
-    /// lock-free [`spsc`](crate::spsc) ring.
+    /// lossy shard are dropped and counted.
     #[inline]
     pub fn insert(&mut self, id: ItemId) {
         self.insert_batch(std::slice::from_ref(&id));
     }
 
     /// Route a whole run of records — one routing pass, then per-shard
-    /// hand-off of every batch that filled, over the
-    /// [`spsc`](crate::spsc) rings.
+    /// hand-off of every batch that filled.
     pub fn insert_batch(&mut self, ids: &[ItemId]) {
         let n = self.shards.len();
         let obs = self.obs.as_deref();
@@ -981,7 +920,7 @@ impl ParallelLtc {
                 (lanes.get_mut(shard_index), self.shards.get(shard_index))
             {
                 if !route_one(lane, self.batch_size, id, trace.as_mut()) {
-                    supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
+                    supervise_lane(lane, shard, shard_index, None, obs);
                 }
             }
         }
@@ -991,8 +930,7 @@ impl ParallelLtc {
     /// shards close the period, and the call returns only once every live
     /// worker has acknowledged — the parallel stream sees the same period
     /// boundary on every shard. Worker deaths during the barrier are
-    /// supervised (restart + re-send, or degradation). Control messages
-    /// ride the [`spsc`](crate::spsc) rings.
+    /// supervised (restart + re-send, or degradation).
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy (the period
@@ -1036,8 +974,7 @@ impl ParallelLtc {
     }
 
     /// Flush + finalize every shard (harvest last-period CLOCK flags), with
-    /// the same barrier semantics as [`end_period`](ParallelLtc::end_period)
-    /// — control over the [`spsc`](crate::spsc) rings.
+    /// the same barrier semantics as [`end_period`](ParallelLtc::end_period).
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy.
@@ -1047,7 +984,6 @@ impl ParallelLtc {
 
     /// Drain the pipeline: flush pending batches and wait until every live
     /// worker has processed everything sent. Queries call this first.
-    /// Flushing pushes onto the [`spsc`](crate::spsc) rings.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy — the drain
@@ -1077,7 +1013,7 @@ impl ParallelLtc {
         let Inner { lanes, trace } = &mut *inner;
         for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
             if !flush_lane(lane, self.batch_size, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, &self.policy, None, obs);
+                supervise_lane(lane, shard, shard_index, None, obs);
             }
         }
         let pending = trace.as_ref().map(|t| t.track.begin(t.last_enqueue));
@@ -1089,14 +1025,14 @@ impl ParallelLtc {
                 }
                 lane.sent = lane.sent.saturating_add(1);
                 if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
-                    supervise_lane(lane, shard, shard_index, &self.policy, Some(ctrl), obs);
+                    supervise_lane(lane, shard, shard_index, Some(ctrl), obs);
                 }
             }
         }
         let start = obs.map(|_| Instant::now());
         for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
             while lane.lossy.is_none() && lane.progress.wait_for(lane.sent).is_err() {
-                supervise_lane(lane, shard, shard_index, &self.policy, ctrl, obs);
+                supervise_lane(lane, shard, shard_index, ctrl, obs);
             }
         }
         if let (Some(obs), Some(start)) = (obs, start) {
@@ -1136,8 +1072,7 @@ impl ParallelLtc {
 
     /// Stop the workers (after draining everything queued) and reassemble
     /// the shards into a single-threaded [`ShardedLtc`] for further use —
-    /// the inverse of spinning the runtime up. The shutdown barrier rides
-    /// the [`spsc`](crate::spsc) rings.
+    /// the inverse of spinning the runtime up.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard degraded to lossy; use
@@ -1154,8 +1089,7 @@ impl ParallelLtc {
 
     /// [`into_sharded`](ParallelLtc::into_sharded) that always returns the
     /// tables: lossy shards contribute their last-good (rolled-back)
-    /// state, and their terminal faults ride along. The shutdown barrier
-    /// rides the [`spsc`](crate::spsc) rings.
+    /// state, and their terminal faults ride along.
     pub fn into_sharded_lossy(mut self) -> (ShardedLtc, Vec<WorkerFault>) {
         let _ = self.barrier(Some(Ctrl::Shutdown));
         let mut faults = Vec::new();
@@ -1182,8 +1116,7 @@ impl ParallelLtc {
         (ShardedLtc::from_shards(shards), faults)
     }
 
-    /// Strict query: drain (over the [`spsc`](crate::spsc) rings), then
-    /// estimate `id`'s significance.
+    /// Strict query: drain, then estimate `id`'s significance.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy. For best-effort
@@ -1193,8 +1126,7 @@ impl ParallelLtc {
         Ok(self.read_estimate(id))
     }
 
-    /// Strict query: drain (over the [`spsc`](crate::spsc) rings), then
-    /// merge the global top-k.
+    /// Strict query: drain, then merge the global top-k.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy. For best-effort
@@ -1251,8 +1183,7 @@ impl ParallelLtc {
             lane.last_fault_seq = None;
             lane.pending = Vec::with_capacity(self.batch_size);
             if lane.lossy.take().is_some() {
-                let checkpoint_every = self.policy.checkpoint_every_periods;
-                spawn_worker(lane, shard, shard_index, checkpoint_every, obs);
+                spawn_worker(lane, shard, shard_index, obs);
             }
         }
     }
@@ -1450,16 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_policy_is_exposed() {
-        let policy = FaultPolicy {
-            max_restarts: 7,
-            ..FaultPolicy::default()
-        };
-        let p = ParallelLtc::with_fault_policy(config(), 2, 8, policy);
-        assert_eq!(p.fault_policy().max_restarts, 7);
-    }
-
-    #[test]
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_size_rejected() {
         let _ = ParallelLtc::with_batch_size(config(), 2, 0);
@@ -1541,7 +1462,7 @@ mod tests {
 
     #[test]
     fn observability_off_runs_without_metrics() {
-        let mut p = ParallelLtc::with_observability(config(), 2, 16, FaultPolicy::default(), None);
+        let mut p = ParallelLtc::with_observability(config(), 2, 16, None);
         for i in 0..200u64 {
             p.insert(i);
         }
@@ -1577,20 +1498,8 @@ mod tests {
     #[test]
     fn shared_registry_aggregates_two_runtimes() {
         let obs = Arc::new(RuntimeObs::new());
-        let mut a = ParallelLtc::with_observability(
-            config(),
-            1,
-            8,
-            FaultPolicy::default(),
-            Some(Arc::clone(&obs)),
-        );
-        let mut b = ParallelLtc::with_observability(
-            config(),
-            1,
-            8,
-            FaultPolicy::default(),
-            Some(Arc::clone(&obs)),
-        );
+        let mut a = ParallelLtc::with_observability(config(), 1, 8, Some(Arc::clone(&obs)));
+        let mut b = ParallelLtc::with_observability(config(), 1, 8, Some(Arc::clone(&obs)));
         for i in 0..64u64 {
             a.insert(i);
             b.insert(i);

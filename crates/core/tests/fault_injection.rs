@@ -16,7 +16,7 @@ use ltc_core::checkpoint::Checkpointer;
 use ltc_core::failpoint::{self, FailAction, FireSpec};
 use ltc_core::obs::EventKind;
 use ltc_core::pipeline::ShardHealth;
-use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc, ShardedLtc, SpscRing};
+use ltc_core::{CheckpointError, LtcConfig, ParallelLtc, ShardedLtc, SpscRing};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -68,7 +68,7 @@ fn config() -> LtcConfig {
 }
 
 fn runtime(shards: usize, batch: usize) -> ParallelLtc {
-    ParallelLtc::with_fault_policy(config(), shards, batch, FaultPolicy::no_backoff())
+    ParallelLtc::with_batch_size(config(), shards, batch)
 }
 
 fn restarts_of(health: &[ShardHealth]) -> u32 {
@@ -219,11 +219,7 @@ fn worker_panic_during_shutdown_resends_the_shutdown() {
 #[test]
 fn exhausted_restart_budget_degrades_to_lossy_but_queries_survive() {
     let _guard = scenario();
-    let policy = FaultPolicy {
-        max_restarts: 2,
-        ..FaultPolicy::no_backoff()
-    };
-    let mut p = ParallelLtc::with_fault_policy(config(), 2, 4, policy);
+    let mut p = runtime(2, 4);
     // Healthy epoch first, so lossy shards have last-good state to serve.
     for i in 0..200u64 {
         p.insert(i % 20);
@@ -338,11 +334,7 @@ fn restore_after_degradation_revives_lossy_shards() {
     let _guard = scenario();
     let scratch = ScratchDir::new("revive");
     let store = Checkpointer::new(scratch.path()).unwrap();
-    let policy = FaultPolicy {
-        max_restarts: 1,
-        ..FaultPolicy::no_backoff()
-    };
-    let mut p = ParallelLtc::with_fault_policy(config(), 2, 4, policy);
+    let mut p = runtime(2, 4);
     for i in 0..200u64 {
         p.insert(i % 20);
     }
@@ -433,11 +425,7 @@ fn seeded_panic_is_journaled_and_correlated_with_health() {
 #[test]
 fn degradation_is_journaled_with_records_lost() {
     let _guard = scenario();
-    let policy = FaultPolicy {
-        max_restarts: 1,
-        ..FaultPolicy::no_backoff()
-    };
-    let mut p = ParallelLtc::with_fault_policy(config(), 1, 4, policy);
+    let mut p = runtime(1, 4);
     for i in 0..100u64 {
         p.insert(i % 10);
     }
@@ -512,6 +500,37 @@ fn checkpoint_fallback_is_counted_and_journaled() {
         .find(|e| e.kind == EventKind::CheckpointRestore)
         .expect("restore journaled");
     assert_eq!(restore.detail, gen1, "journal names the generation used");
+}
+
+#[test]
+fn restore_counts_every_skipped_generation_when_none_validates() {
+    // "Everything corrupt" must read differently from "nothing on disk":
+    // a restore that rejects every generation still counts each one.
+    let _guard = scenario();
+    let scratch = ScratchDir::new("all-corrupt");
+    let store = Checkpointer::new(scratch.path()).unwrap();
+    let mut p = runtime(1, 16);
+    for i in 0..200u64 {
+        p.insert(i % 12);
+    }
+    p.end_period().expect("healthy runtime");
+    failpoint::configure(
+        "checkpoint::write",
+        FailAction::CorruptByte { offset: 100 },
+        FireSpec::always(),
+    );
+    p.checkpoint_to(&store).expect("write itself succeeds");
+    p.checkpoint_to(&store).expect("write itself succeeds");
+    failpoint::clear();
+    drop(p);
+
+    let mut q = runtime(1, 16);
+    assert_eq!(q.restore_from(&store), Err(CheckpointError::NoCheckpoint));
+    let text = q.obs().expect("obs on by default").render_prometheus();
+    assert!(
+        text.contains("ltc_checkpoint_fallbacks_total 2"),
+        "both corrupt generations counted: {text}"
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@ use ltc_core::obs::{
     labels, render_events_json, validate_exposition, EventJournal, EventKind, MetricsRegistry,
     RuntimeObs,
 };
-use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc};
+use ltc_core::{LtcConfig, ParallelLtc};
 use serde::Value;
 use std::sync::Arc;
 
@@ -338,20 +338,8 @@ fn runtime_journal_is_drainable_while_workers_run() {
 #[test]
 fn two_runtimes_can_share_one_registry() {
     let obs = Arc::new(RuntimeObs::new());
-    let mut a = ParallelLtc::with_observability(
-        config(),
-        1,
-        64,
-        FaultPolicy::default(),
-        Some(Arc::clone(&obs)),
-    );
-    let mut b = ParallelLtc::with_observability(
-        config(),
-        1,
-        64,
-        FaultPolicy::default(),
-        Some(Arc::clone(&obs)),
-    );
+    let mut a = ParallelLtc::with_observability(config(), 1, 64, Some(Arc::clone(&obs)));
+    let mut b = ParallelLtc::with_observability(config(), 1, 64, Some(Arc::clone(&obs)));
     for i in 0..100u64 {
         a.insert(i);
         b.insert(i);
@@ -370,7 +358,7 @@ fn two_runtimes_can_share_one_registry() {
 
 #[test]
 fn metrics_off_runtime_still_streams_and_aggregates_stats() {
-    let mut p = ParallelLtc::with_observability(config(), 2, 64, FaultPolicy::default(), None);
+    let mut p = ParallelLtc::with_observability(config(), 2, 64, None);
     for i in 0..1_000u64 {
         p.insert(i % 50);
     }
@@ -393,8 +381,7 @@ fn instrumentation_overhead_stays_within_smoke_bound() {
     const RECORDS: u64 = 400_000;
     const BATCH: usize = 256;
     let run = |obs: Option<Arc<RuntimeObs>>| -> std::time::Duration {
-        let mut p =
-            ParallelLtc::with_observability(config(), 2, BATCH, FaultPolicy::default(), obs);
+        let mut p = ParallelLtc::with_observability(config(), 2, BATCH, obs);
         let ids: Vec<u64> = (0..RECORDS).map(|i| i % 10_000).collect();
         let start = std::time::Instant::now();
         for chunk in ids.chunks(BATCH) {

@@ -29,7 +29,7 @@ use ltc_common::Weights;
 use ltc_core::checkpoint::Checkpointer;
 use ltc_core::durability::{DurabilityPolicy, DurabilityService, OnFault};
 use ltc_core::failpoint::{self, FailAction, FireSpec};
-use ltc_core::{CheckpointError, FaultPolicy, LtcConfig, ParallelLtc};
+use ltc_core::{CheckpointError, LtcConfig, ParallelLtc};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -80,16 +80,15 @@ fn config() -> LtcConfig {
 }
 
 fn runtime(shards: usize, batch: usize) -> ParallelLtc {
-    ParallelLtc::with_fault_policy(config(), shards, batch, FaultPolicy::no_backoff())
+    ParallelLtc::with_batch_size(config(), shards, batch)
 }
 
-/// A service policy that only checkpoints when told to and never sleeps
-/// between retries, so every scenario step is an explicit, ordered act.
+/// A service policy that only checkpoints when told to, so every
+/// scenario step is an explicit, ordered act.
 fn manual_policy() -> DurabilityPolicy {
     DurabilityPolicy {
         interval: Duration::from_secs(3_600),
         full_every: 8,
-        faults: FaultPolicy::no_backoff(),
         on_fault: OnFault::Degrade,
     }
 }
@@ -596,7 +595,8 @@ fn worker_death_while_the_service_runs_keeps_checkpoints_sound() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-policy behaviour of the service itself.
+// Retry-budget behaviour of the service itself (the fixed budget: one
+// attempt plus 3 retries per save).
 
 #[test]
 fn persistent_save_failure_exhausts_budget_and_degrades() {
@@ -605,22 +605,18 @@ fn persistent_save_failure_exhausts_budget_and_degrades() {
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
     let policy = DurabilityPolicy {
-        faults: FaultPolicy {
-            max_restarts: 2,
-            ..FaultPolicy::no_backoff()
-        },
         on_fault: OnFault::Degrade,
         ..manual_policy()
     };
     let service =
         DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
-    // Every fsync fails: 1 try + 2 retries, then the tick gives up.
+    // Every fsync fails: 1 try + 3 retries, then the tick gives up.
     failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::always());
     let err = service.checkpoint_now().expect_err("budget exhausted");
     assert!(matches!(err, CheckpointError::Io(_)));
     failpoint::clear();
     let status = service.status();
-    assert_eq!(status.failed_saves, 3, "1 attempt + 2 retries");
+    assert_eq!(status.failed_saves, 4, "1 attempt + 3 retries");
     assert!(!status.stopped_on_fault, "Degrade keeps the service alive");
     // Degraded, not dead: the next request succeeds.
     service.checkpoint_now().expect("healthy again");
@@ -635,10 +631,6 @@ fn on_fault_stop_shuts_the_service_down() {
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
     let policy = DurabilityPolicy {
-        faults: FaultPolicy {
-            max_restarts: 1,
-            ..FaultPolicy::no_backoff()
-        },
         on_fault: OnFault::Stop,
         ..manual_policy()
     };
@@ -648,7 +640,9 @@ fn on_fault_stop_shuts_the_service_down() {
     let err = service.checkpoint_now().expect_err("budget exhausted");
     assert!(matches!(err, CheckpointError::Io(_)));
     failpoint::clear();
-    assert!(service.status().stopped_on_fault);
+    let status = service.status();
+    assert_eq!(status.failed_saves, 4, "1 attempt + 3 retries");
+    assert!(status.stopped_on_fault);
     // The stopped service rejects further work instead of hanging.
     assert!(service.checkpoint_now().is_err());
     p.finish().expect("healthy");

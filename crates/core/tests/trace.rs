@@ -14,7 +14,7 @@ use ltc_core::checkpoint::Checkpointer;
 use ltc_core::obs::trace::names;
 use ltc_core::obs::trace_export::single_causal_tree;
 use ltc_core::obs::{render_chrome_trace, render_folded, validate_chrome_trace, RuntimeObs};
-use ltc_core::{FaultPolicy, LtcConfig, ParallelLtc};
+use ltc_core::{LtcConfig, ParallelLtc};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -113,13 +113,7 @@ fn chrome_trace_and_folded_renderings_validate() {
 #[test]
 fn without_tracing_runtime_records_no_spans() {
     let obs = Arc::new(RuntimeObs::without_tracing());
-    let mut p = ParallelLtc::with_observability(
-        config(),
-        2,
-        64,
-        FaultPolicy::default(),
-        Some(Arc::clone(&obs)),
-    );
+    let mut p = ParallelLtc::with_observability(config(), 2, 64, Some(Arc::clone(&obs)));
     for i in 0..1_000u64 {
         p.insert(i % 50);
     }
@@ -152,7 +146,7 @@ mod failpoints {
     #[test]
     fn seeded_panic_parents_the_fault_span_and_raises_the_drift_flag() {
         let _guard = scenario();
-        let mut p = ParallelLtc::with_fault_policy(config(), 2, 8, FaultPolicy::no_backoff());
+        let mut p = ParallelLtc::with_batch_size(config(), 2, 8);
         // A clean first period establishes the audit baseline (and each
         // shard's rollback checkpoint).
         for i in 0..1_000u64 {

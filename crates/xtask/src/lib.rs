@@ -166,15 +166,12 @@ pub struct Config {
     /// Max unresolved indirect calls per hot-path function
     /// (opaque_call_budget rule). `None` disables the rule.
     pub opaque_budget: Option<u64>,
-    /// Files whose public fns are audited by unsafe_reach: reaching an
-    /// `unsafe` block requires the unsafe module's name in the doc text.
-    pub unsafe_reach_files: Vec<String>,
 }
 
 impl Config {
     /// Whether any interprocedural (call-graph) analysis is configured.
     pub fn callgraph_enabled(&self) -> bool {
-        !self.callgraph_entries.is_empty() || !self.unsafe_reach_files.is_empty()
+        !self.callgraph_entries.is_empty()
     }
 }
 
@@ -191,15 +188,7 @@ const SCHEMA: &[(&str, &[&str])] = &[
     ("atomic_io", &["files"]),
     ("obs", &["metrics_files", "trace_files", "call_site_files"]),
     ("bench", &["tolerance"]),
-    (
-        "callgraph",
-        &[
-            "entries",
-            "purity_deny",
-            "opaque_budget",
-            "unsafe_reach_files",
-        ],
-    ),
+    ("callgraph", &["entries", "purity_deny", "opaque_budget"]),
 ];
 
 /// Parse the TOML subset `lint.toml` uses: `[section]` headers and
@@ -307,7 +296,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
                 }
                 config.purity_deny = values;
             }
-            ("callgraph", "unsafe_reach_files") => config.unsafe_reach_files = values,
             _ => {
                 let known = SCHEMA
                     .iter()
@@ -352,7 +340,6 @@ pub fn validate_config_paths(config: &Config, root: &Path) -> Result<(), String>
         ("[obs] metrics_files", &config.obs_metrics_files),
         ("[obs] trace_files", &config.obs_trace_files),
         ("[obs] call_site_files", &config.obs_call_site_files),
-        ("[callgraph] unsafe_reach_files", &config.unsafe_reach_files),
     ];
     for (key, list) in file_lists {
         for file in *list {

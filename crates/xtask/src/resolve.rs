@@ -137,15 +137,6 @@ impl Workspace {
         // chase renames.
         self.resolve_alias(name)
     }
-
-    /// All `FnDef` ids defined in `file`.
-    pub fn fns_in_file(&self, file: usize) -> impl Iterator<Item = usize> + '_ {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, d)| d.file == file)
-            .map(|(i, _)| i)
-    }
 }
 
 /// Token-tree walker collecting definitions for one file.

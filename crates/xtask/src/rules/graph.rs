@@ -1,5 +1,5 @@
-//! Interprocedural (call-graph) rules: `hot_path_purity`,
-//! `unsafe_reach` and `opaque_call_budget`.
+//! Interprocedural (call-graph) rules: `hot_path_purity` and
+//! `opaque_call_budget`.
 //!
 //! Unlike the per-file rules these run once over the whole workspace,
 //! after every file has been analyzed and the call graph built. Their
@@ -15,7 +15,7 @@
 //! `no_index` for indexing, in `[hot_path] files`), its existing waiver
 //! is honored too — one justified escape hatch, not two.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use crate::callgraph::{self, CallGraph, EffectKind};
 use crate::resolve::Workspace;
@@ -23,7 +23,7 @@ use crate::{collect_waivers, parse_entry_spec, violation_at, Config, Violation, 
 
 /// Rules evaluated on the call graph rather than per file. Their
 /// waivers are usage-checked here, not by the per-file engine.
-pub const GRAPH_RULES: &[&str] = &["hot_path_purity", "unsafe_reach", "opaque_call_budget"];
+pub const GRAPH_RULES: &[&str] = &["hot_path_purity", "opaque_call_budget"];
 
 /// Default transitive deny set when `[callgraph] purity_deny` is
 /// omitted: everything panic-capable plus blocking and I/O. `alloc`
@@ -47,7 +47,6 @@ pub fn run(ws: &Workspace, graph: &CallGraph, config: &Config) -> Result<Vec<Vio
     let entries = resolve_entries(ws, config)?;
     hot_path_purity(ws, graph, config, &entries, &mut waivers, &mut out);
     opaque_call_budget(ws, graph, config, &entries, &mut waivers, &mut out);
-    unsafe_reach(ws, graph, config, &mut waivers, &mut out);
 
     // Waiver hygiene for graph rules: the per-file engine defers the
     // unused check for these names to us, since only a whole-tree run
@@ -278,97 +277,4 @@ fn opaque_call_budget(
             out.push(v);
         }
     }
-}
-
-/// `unsafe_reach`: every public fn in the audited files that
-/// transitively reaches an `unsafe` block must name the unsafe module
-/// (its file stem, e.g. `spsc`) in the doc/SAFETY comment block
-/// directly above the fn.
-fn unsafe_reach(
-    ws: &Workspace,
-    graph: &CallGraph,
-    config: &Config,
-    waivers: &mut [Vec<Waiver>],
-    out: &mut Vec<Violation>,
-) {
-    for rel in &config.unsafe_reach_files {
-        let Some(file_idx) = ws.files.iter().position(|f| &f.rel == rel) else {
-            continue; // validate_config_paths guarantees existence on disk
-        };
-        let fns: Vec<usize> = ws.fns_in_file(file_idx).collect();
-        for f in fns {
-            let def = &ws.fns[f];
-            if !def.is_pub || def.body.is_none() {
-                continue;
-            }
-            let reach = callgraph::reachable(graph, f);
-            // Unsafe modules this fn depends on, with one witness chain
-            // per module for the diagnostic.
-            let mut unsafe_files: BTreeMap<String, usize> = BTreeMap::new();
-            for &t in &reach.set {
-                if graph.facts[t].has_unsafe {
-                    let file = ws.files[ws.fns[t].file].rel.clone();
-                    unsafe_files.entry(file).or_insert(t);
-                }
-            }
-            if unsafe_files.is_empty() {
-                continue;
-            }
-            let fa = &ws.files[file_idx].fa;
-            let doc = doc_text_above(fa, def.first_token);
-            for (unsafe_rel, witness) in unsafe_files {
-                let stem = file_stem(&unsafe_rel);
-                if doc.contains(stem) {
-                    continue;
-                }
-                let waived = waived_at(ws, waivers, def.file, def.name_token, &["unsafe_reach"]);
-                let chain = callgraph::blame_chain(ws, &reach, f, witness);
-                let message = format!(
-                    "public fn `{}` transitively reaches unsafe code in {unsafe_rel} \
-                     (call chain: {chain}) but its doc comment does not mention `{stem}`; \
-                     document the safety dependency",
-                    def.display(),
-                );
-                if let Some(v) = violation_at(fa, def.name_token, "unsafe_reach", message, waived) {
-                    out.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// The contiguous comment block directly above the token's line,
-/// skipping attribute lines (`#[inline]`) that sit between docs and the
-/// item. Returns the concatenated comment text.
-fn doc_text_above(fa: &crate::FileAnalysis, token: usize) -> String {
-    let Some(first_line) = fa.tokens.get(token).map(|t| t.line) else {
-        return String::new();
-    };
-    let mut out = String::new();
-    let mut line = first_line.saturating_sub(1);
-    while line >= 1 {
-        let text = fa
-            .lines
-            .get(line.saturating_sub(1))
-            .map_or("", |l| l.trim());
-        if fa.line_comment_only(line) {
-            out.push_str(text);
-            out.push('\n');
-            line = line.saturating_sub(1);
-        } else if text.starts_with("#[") || text.starts_with("#![") {
-            line = line.saturating_sub(1);
-        } else {
-            break;
-        }
-    }
-    out
-}
-
-/// `crates/core/src/spsc.rs` → `spsc`.
-fn file_stem(rel: &str) -> &str {
-    rel.rsplit('/')
-        .next()
-        .unwrap_or(rel)
-        .strip_suffix(".rs")
-        .unwrap_or(rel)
 }

@@ -44,7 +44,6 @@ pub const WAIVABLE_RULES: &[&str] = &[
     "atomic_io",
     "obs_hot_path",
     "hot_path_purity",
-    "unsafe_reach",
     "opaque_call_budget",
 ];
 

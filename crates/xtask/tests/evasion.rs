@@ -25,7 +25,6 @@ fn everything_config(rel: &str) -> Config {
         callgraph_entries: vec![],
         purity_deny: vec![],
         opaque_budget: None,
-        unsafe_reach_files: vec![],
     }
 }
 

@@ -1,5 +1,5 @@
 //! CLI-level tests for the interprocedural rules (`hot_path_purity`,
-//! `unsafe_reach`, `opaque_call_budget`) over the seeded fixture trees
+//! `opaque_call_budget`) over the seeded fixture trees
 //! in `tests/fixtures/callgraph/` plus scratch trees for waiver
 //! behaviour, and for the `callgraph` export subcommand.
 
@@ -75,19 +75,6 @@ fn purity_sees_through_trait_method_indirection() {
         out.contains("-> Widget::step (src/stage.rs:8) -> deep (src/stage.rs:13)"),
         "{out}"
     );
-}
-
-/// Of two public fns with the same unsafe dependency, only the one
-/// whose doc comment does not name the unsafe module is flagged.
-#[test]
-fn unsafe_reach_flags_undocumented_fn_only() {
-    let (code, out) = run(&fixture("unsafe_reach"), &["lint"]);
-    assert_eq!(code, 1, "output: {out}");
-    assert!(out.contains("[unsafe_reach]"), "{out}");
-    assert!(out.contains("`send`"), "{out}");
-    assert!(out.contains("does not mention `unchecked`"), "{out}");
-    assert!(!out.contains("send_documented"), "{out}");
-    assert!(out.contains("1 violation(s)"), "{out}");
 }
 
 /// Two fn-pointer invocations against a budget of one; the sibling fn

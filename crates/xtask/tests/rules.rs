@@ -23,7 +23,6 @@ fn fixture_config() -> Config {
         callgraph_entries: vec![],
         purity_deny: vec![],
         opaque_budget: None,
-        unsafe_reach_files: vec![],
     }
 }
 

@@ -113,6 +113,27 @@ fn cli_retired_simd_section_exits_two() {
 }
 
 #[test]
+fn cli_retired_unsafe_reach_key_exits_two() {
+    // `[callgraph] unsafe_reach_files` is gone: unsafe_allowlist already
+    // pins every unsafe block to its allowlisted files, so a config still
+    // carrying the key is stale.
+    let root = scratch("unsafe-reach");
+    write(&root, "src/lib.rs", "pub fn f() {}\n");
+    write(
+        &root,
+        "lint.toml",
+        "[paths]\nroots = [\"src\"]\n\n[callgraph]\nunsafe_reach_files = [\"src/lib.rs\"]\n",
+    );
+    let (code, out) = run_lint(&root);
+    assert_eq!(code, 2, "output: {out}");
+    assert!(
+        out.contains("unknown key `unsafe_reach_files` in section `[callgraph]`"),
+        "output: {out}"
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn unknown_key_is_a_named_error() {
     // `file` misspelled for `files`.
     let err = parse_config("[paths]\nroots = [\"src\"]\n\n[hot_path]\nfile = [\"a.rs\"]\n")
