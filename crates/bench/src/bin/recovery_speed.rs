@@ -93,15 +93,25 @@ fn mops(records: usize, secs: f64) -> f64 {
     records as f64 / secs / 1e6
 }
 
+/// Best of [`REPS`] runs of `timed`, which returns the seconds it measured.
+fn best_of(mut timed: impl FnMut() -> f64) -> f64 {
+    (0..REPS).map(|_| timed()).fold(f64::INFINITY, f64::min)
+}
+
 /// Best-of-[`REPS`] wall-clock of `run`.
 fn best_secs(mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
+    best_of(|| {
         let start = Instant::now();
         run();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+        start.elapsed().as_secs_f64()
+    })
+}
+
+/// Wall-clock of one `service.checkpoint_now()`, returning its generation.
+fn timed_checkpoint(service: &DurabilityService) -> (f64, u64) {
+    let start = Instant::now();
+    let generation = service.checkpoint_now().expect("save");
+    (start.elapsed().as_secs_f64(), generation)
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -162,8 +172,6 @@ fn main() {
                 Checkpointer::new(&dir).expect("store"),
                 DurabilityPolicy {
                     interval: Duration::from_millis(100),
-                    full_every: 8,
-                    on_fault: Default::default(),
                 },
             )
             .expect("durability service");
@@ -180,9 +188,11 @@ fn main() {
 
     // ---- save + recovery cost -------------------------------------------
     // One table at the fixed geometry (frame cost is table-driven, see the
-    // module doc); full saves re-snapshot everything, the delta save covers
-    // only the buckets dirtied by a hot-key tail (deltas are cumulative, so
-    // repeating the measurement repeats identical work).
+    // module doc), saved through the durability service the way a running
+    // deployment saves it. A fresh service's first save is a full frame;
+    // after a base and a hot-key tail its next saves are cumulative deltas
+    // (chain length 1–3) that carry identical buckets, so repeating the
+    // measurement repeats identical work.
     let save_config = LtcConfig::builder()
         .buckets(SAVE_BUCKETS)
         .cells_per_bucket(CELLS_PER_BUCKET)
@@ -196,11 +206,14 @@ fn main() {
     ingest(&mut p);
     let dir = scratch("saves");
     let store = Checkpointer::new(&dir).expect("store").keep_generations(64);
+    // The timer never fires: every save is an explicit `checkpoint_now`.
+    let manual = DurabilityPolicy {
+        interval: Duration::from_secs(3_600),
+    };
+    let attach = || DurabilityService::attach(&p, store.clone(), manual).expect("service");
 
     eprintln!("[run] full-frame save ({SAVE_BUCKETS}x{CELLS_PER_BUCKET} cells x {THREADS} shards)");
-    let full_secs = best_secs(|| {
-        std::hint::black_box(p.save_full_checkpoint(&store).expect("save"));
-    });
+    let full_secs = best_of(|| timed_checkpoint(&attach()).0);
     let full_save_cells_mops = mops(save_cells, full_secs);
     eprintln!(
         "       {:.2} ms -> {full_save_cells_mops:.2} cell-Mops",
@@ -210,29 +223,35 @@ fn main() {
     // Dirty only hot buckets mid-period — the shape of a real
     // between-checkpoints window (a period boundary would sweep the CLOCK
     // across the whole table and dirty most of it).
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = attach();
+    let base_generation = service.checkpoint_now().expect("base");
     for i in 0..HOT_TAIL {
         p.insert((i % 16) as u64);
     }
     p.sync().expect("no shard faults");
 
     eprintln!("[run] delta-frame save");
-    let delta_secs = best_secs(|| {
-        let mut probe = chain;
-        std::hint::black_box(p.save_delta_checkpoint(&store, &mut probe).expect("save"));
+    let mut delta_generation = base_generation;
+    let delta_secs = best_of(|| {
+        let (secs, generation) = timed_checkpoint(&service);
+        delta_generation = generation;
+        secs
     });
+    assert_eq!(
+        service.status().delta_saves,
+        REPS as u64,
+        "every timed save is a delta"
+    );
+    drop(service);
     let delta_save_cells_mops = mops(save_cells, delta_secs);
     eprintln!(
         "       {:.2} ms -> {delta_save_cells_mops:.2} cell-Mops",
         delta_secs * 1e3
     );
 
-    // Leave a real chain on disk for the recovery measurement and compare
-    // the frame footprints from it.
-    let delta_generation = p
-        .save_delta_checkpoint(&store, &mut chain)
-        .expect("chained delta");
-    let full_frame_bytes = store.load(chain.base_generation).expect("base bytes").len() as u64;
+    // The newest delta and its base are a real chain on disk: compare the
+    // frame footprints from it and restore from it.
+    let full_frame_bytes = store.load(base_generation).expect("base bytes").len() as u64;
     let delta_frame_bytes = store.load(delta_generation).expect("delta bytes").len() as u64;
 
     eprintln!("[run] crash recovery (base + delta)");

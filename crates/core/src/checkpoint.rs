@@ -56,6 +56,12 @@
 //! ([`CheckpointError::BrokenChain`]) and restore falls back a generation
 //! instead of reviving torn or mixed state. Periodic *compaction* (a fresh
 //! full frame) bounds chain length and lets old generations prune away.
+//!
+//! Chains have one writer, the [`crate::durability::DurabilityService`]:
+//! only its full frames open a shard's dirty epoch, and it publishes 8
+//! deltas per chain before compacting, keeping at least 18 generations on
+//! disk. [`ParallelLtc::checkpoint_to`] writes one-shot full frames and
+//! leaves the dirty epoch alone, so it never breaks a live chain.
 
 use crate::config::LtcConfig;
 use crate::failpoint::{io_fault, FailAction};
@@ -401,20 +407,19 @@ pub const DELTA_SECTION_MAGIC: &[u8; 4] = b"DLTA";
 const DELTA_SECTION_BYTES: usize = 20;
 
 /// Links a run of delta frames back to the full frame they are relative
-/// to. Returned by [`ParallelLtc::save_full_checkpoint`] and threaded
-/// through [`ParallelLtc::save_delta_checkpoint`]; the recorded CRC is of
-/// the base generation's *published file bytes*, so any post-publish
-/// tearing or reordering of the base invalidates every delta that points
-/// at it (restore then falls back a generation instead of applying a delta
-/// to the wrong base).
+/// to. Returned by [`save_full_over`] and threaded through
+/// [`save_delta_over`]; the recorded CRC is of the base generation's
+/// *published file bytes*, so any post-publish tearing or reordering of
+/// the base invalidates every delta that points at it (restore then falls
+/// back a generation instead of applying a delta to the wrong base).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaChain {
+pub(crate) struct DeltaChain {
     /// Generation number of the base full frame on disk.
-    pub base_generation: u64,
+    pub(crate) base_generation: u64,
     /// CRC-32 of the base generation's published frame bytes.
-    pub base_crc: u32,
+    pub(crate) base_crc: u32,
     /// Deltas published since the base (0 right after a full save).
-    pub length: u32,
+    pub(crate) length: u32,
 }
 
 /// Encode a delta-chain header section.
@@ -682,65 +687,22 @@ impl ParallelLtc {
         self.reset_after_restore();
         Ok(())
     }
-
-    /// Serialise every shard as a full checkpoint frame *and open a new
-    /// dirty epoch* per shard (atomically with each shard's snapshot read,
-    /// under its lock), publish it to `store`, and return the chain state
-    /// future deltas link against.
-    ///
-    /// If the publish fails the epochs are already cleared, so the caller
-    /// must not fall back to delta saves until a full save succeeds (the
-    /// [`crate::durability::DurabilityService`] enforces this); a full
-    /// frame never depends on the dirty state, so retrying the full save
-    /// loses nothing.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] if the write or rename fails.
-    pub fn save_full_checkpoint(
-        &self,
-        store: &Checkpointer,
-    ) -> Result<DeltaChain, CheckpointError> {
-        let _ = self.sync();
-        save_full_over(
-            self.shard_tables(),
-            self.obs().map(Arc::as_ref),
-            store,
-            "checkpoint::write",
-            false,
-        )
-    }
-
-    /// Serialise only the buckets dirtied since `chain`'s base full frame
-    /// (cumulative — the newest delta alone reconstructs the table on top
-    /// of the base) and publish it to `store`. On success the chain's
-    /// length grows by one.
-    ///
-    /// # Errors
-    /// [`CheckpointError::Io`] if the write or rename fails (the chain is
-    /// left unchanged — a later retry simply carries the same buckets).
-    pub fn save_delta_checkpoint(
-        &self,
-        store: &Checkpointer,
-        chain: &mut DeltaChain,
-    ) -> Result<u64, CheckpointError> {
-        let _ = self.sync();
-        save_delta_over(
-            self.shard_tables(),
-            self.obs().map(Arc::as_ref),
-            store,
-            chain,
-        )
-    }
 }
 
-/// [`ParallelLtc::save_full_checkpoint`] over bare shard handles, with the
-/// failpoint site and observability flavour (initial/periodic full vs
-/// compaction) chosen by the caller. This is what the background
-/// [`crate::durability::DurabilityService`] runs: it holds clones of the
-/// shard `Arc`s (whose identity survives restore) rather than the runtime
-/// itself, and deliberately does **not** drain the pipeline — in-flight
-/// records simply aren't acknowledged into this frame and land in the
-/// next one.
+/// Serialise every shard in `tables` as a full checkpoint frame *and open
+/// a new dirty epoch* per shard (atomically with each shard's snapshot
+/// read, under its lock), publish it to `store`, and return the chain
+/// state future deltas link against. The failpoint site and the
+/// observability flavour (initial full vs compaction) are the caller's.
+///
+/// Outside tests, only the [`crate::durability::DurabilityService`] calls
+/// this. It holds
+/// clones of the shard `Arc`s (whose identity survives restore) rather
+/// than the runtime itself, and deliberately does **not** drain the
+/// pipeline — in-flight records simply aren't acknowledged into this frame
+/// and land in the next one. If the publish fails the epochs are already
+/// cleared, so no delta may follow until a full save succeeds; a full
+/// frame never depends on the dirty state, so retrying it loses nothing.
 pub(crate) fn save_full_over(
     tables: &[Arc<Mutex<Ltc>>],
     obs: Option<&RuntimeObs>,
@@ -778,8 +740,11 @@ pub(crate) fn save_full_over(
     })
 }
 
-/// [`ParallelLtc::save_delta_checkpoint`] over bare shard handles — see
-/// [`save_full_over`] for why the durability service uses this form.
+/// Serialise only the buckets dirtied since `chain`'s base full frame
+/// (cumulative — the newest delta alone reconstructs the table on top of
+/// the base) and publish it to `store`. On success the chain's length
+/// grows by one; on failure it is unchanged, and a retry carries the same
+/// buckets. See [`save_full_over`] for who calls this and why.
 pub(crate) fn save_delta_over(
     tables: &[Arc<Mutex<Ltc>>],
     obs: Option<&RuntimeObs>,
@@ -944,36 +909,27 @@ impl Checkpointer {
     /// `checkpoint::fsync` and `checkpoint::rename` inject *syscall
     /// failures* at the two publication steps — which must surface as
     /// [`CheckpointError::Io`] without renaming a half-durable temp file
-    /// into place.
+    /// into place. Any write, fsync or rename error, real or injected,
+    /// removes the temp file.
     fn write_atomic(&self, path: &Path, frame: &[u8], site: &str) -> Result<(), CheckpointError> {
-        let mut buf = frame.to_vec();
-        match io_fault(site) {
-            Some(FailAction::Truncate { keep }) => buf.truncate(keep),
+        let corrupted;
+        let bytes = match io_fault(site) {
+            Some(FailAction::Truncate { keep }) => frame.get(..keep).unwrap_or(frame),
             Some(FailAction::CorruptByte { offset }) => {
-                if let Some(byte) = buf.get_mut(offset) {
+                let mut copy = frame.to_vec();
+                if let Some(byte) = copy.get_mut(offset) {
                     *byte ^= 0xFF;
                 }
+                corrupted = copy;
+                &corrupted
             }
-            _ => {}
-        }
+            _ => frame,
+        };
         let tmp = path.with_extension("tmp");
-        {
-            // lint:allow(atomic_io): this IS the atomic-rename helper
-            let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&e))?;
-            file.write_all(&buf).map_err(|e| io_err(&e))?;
-            if let Some(FailAction::Error) = io_fault("checkpoint::fsync") {
-                // The injected failure must behave like a real one: the
-                // temp file is abandoned un-durable and never renamed.
-                let _ = std::fs::remove_file(&tmp);
-                return Err(CheckpointError::Io("injected fsync failure".to_string()));
-            }
-            file.sync_all().map_err(|e| io_err(&e))?;
-        }
-        if let Some(FailAction::Error) = io_fault("checkpoint::rename") {
+        if let Err(e) = write_and_rename(&tmp, path, bytes) {
             let _ = std::fs::remove_file(&tmp);
-            return Err(CheckpointError::Io("injected rename failure".to_string()));
+            return Err(io_err(&e));
         }
-        std::fs::rename(&tmp, path).map_err(|e| io_err(&e))?;
         // Persist the rename itself. Directory fsync is POSIX-only and
         // advisory on some filesystems; failure to open is not fatal.
         #[cfg(unix)]
@@ -991,6 +947,27 @@ impl Checkpointer {
         }
         Ok(())
     }
+}
+
+/// Write `bytes` to `tmp`, fsync it, and rename it over `path`. The
+/// `checkpoint::fsync` and `checkpoint::rename` failpoints fail the
+/// matching step with an injected I/O error.
+fn write_and_rename(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let injected = |site: &str| match io_fault(site) {
+        Some(FailAction::Error) => {
+            Err(std::io::Error::other(format!("injected failure at {site}")))
+        }
+        _ => Ok(()),
+    };
+    {
+        // lint:allow(atomic_io): this IS the atomic-rename helper
+        let mut file = std::fs::File::create(tmp)?;
+        file.write_all(bytes)?;
+        injected("checkpoint::fsync")?;
+        file.sync_all()?;
+    }
+    injected("checkpoint::rename")?;
+    std::fs::rename(tmp, path)
 }
 
 #[cfg(test)]
@@ -1032,6 +1009,19 @@ mod tests {
             .records_per_period(50)
             .seed(11)
             .build()
+    }
+
+    /// Quiesce `live` and publish a chain base, as the durability service
+    /// does on its first save.
+    fn save_full(live: &ParallelLtc, store: &Checkpointer) -> DeltaChain {
+        live.sync().unwrap();
+        save_full_over(live.shard_tables(), None, store, "checkpoint::write", false).unwrap()
+    }
+
+    /// Quiesce `live` and publish the next delta of `chain`.
+    fn save_delta(live: &ParallelLtc, store: &Checkpointer, chain: &mut DeltaChain) -> u64 {
+        live.sync().unwrap();
+        save_delta_over(live.shard_tables(), None, store, chain).unwrap()
     }
 
     fn loaded_table() -> Ltc {
@@ -1330,7 +1320,7 @@ mod tests {
             live.insert(i % 30);
         }
         live.end_period().unwrap();
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         assert_eq!(chain.base_generation, 1);
         assert_eq!(chain.length, 0);
         // Two deltas: the second is cumulative, so restore only needs the
@@ -1338,11 +1328,11 @@ mod tests {
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 7 } else { 19 });
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 7 } else { 23 });
         }
-        let generation = live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        let generation = save_delta(&live, &store, &mut chain);
         assert_eq!(generation, 3);
         assert_eq!(chain.length, 2);
         let expected = live.to_checkpoint();
@@ -1414,19 +1404,19 @@ mod tests {
         }
         live.end_period().unwrap();
         // Chain 1: full gen 1 + delta gen 2.
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 7 } else { 19 });
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         let expected_at_2 = live.to_checkpoint();
         // Chain 2: full gen 3 (compaction) + delta gen 4.
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         assert_eq!(chain.base_generation, 3);
         for i in 0..100u64 {
             live.insert(if i % 2 == 0 { 11 } else { 23 });
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         // Tear the *base* of the newest chain after publication (a dying
         // disk, not a torn rename): gen 4's header CRC no longer matches,
         // so the whole newest chain must be abandoned, landing on gen 2
@@ -1456,11 +1446,11 @@ mod tests {
             live.insert(i % 20);
         }
         live.end_period().unwrap();
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         for i in 0..50u64 {
             live.insert(i % 5);
         }
-        live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        save_delta(&live, &store, &mut chain);
         std::fs::remove_file(scratch.path().join(format!("ltc.{:020}.ckpt", 1))).unwrap();
         let mut restored = ParallelLtc::with_batch_size(config(), 2, 8);
         // The delta survives on disk but its base is gone: nothing left to
@@ -1482,13 +1472,13 @@ mod tests {
         live.end_period().unwrap();
         let scratch = ScratchDir::new("delta-size");
         let store = Checkpointer::new(scratch.path()).unwrap();
-        let mut chain = live.save_full_checkpoint(&store).unwrap();
+        let mut chain = save_full(&live, &store);
         // A hot-key phase touches few buckets; the delta should carry only
         // those.
         for _ in 0..100u64 {
             live.insert(7);
         }
-        let generation = live.save_delta_checkpoint(&store, &mut chain).unwrap();
+        let generation = save_delta(&live, &store, &mut chain);
         let full = store.load(chain.base_generation).unwrap();
         let delta = store.load(generation).unwrap();
         assert!(

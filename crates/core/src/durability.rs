@@ -4,14 +4,22 @@
 //! The ingest path never touches disk. A [`DurabilityService`] owns clones
 //! of the runtime's shard handles (`Arc<Mutex<Ltc>>` — identity survives a
 //! checkpoint restore) and, on its own thread, periodically publishes
-//! checkpoint frames through a [`Checkpointer`]:
+//! checkpoint frames through a [`Checkpointer`].
 //!
-//! * the first frame — and every *compaction* — is a **full** frame
-//!   ([`ParallelLtc::save_full_checkpoint`] semantics): each shard's
-//!   complete snapshot, which also opens a fresh dirty epoch per shard;
-//! * frames in between are **delta** frames carrying only the buckets
-//!   dirtied since the chain's base full frame, linked to it by the
-//!   `DLTA` chain header's base CRC (see [`crate::checkpoint`]).
+//! ## One chain writer, one cadence
+//!
+//! The service is the only code that opens a shard's dirty epoch or writes
+//! a delta chain, so attach at most one per runtime. A one-shot
+//! [`ParallelLtc::checkpoint_to`] serialises a full frame without touching
+//! the epoch and may run beside it. The cadence is fixed:
+//!
+//! * the first frame — and every *compaction* — is a **full** frame: each
+//!   shard's complete snapshot, which also opens a fresh dirty epoch per
+//!   shard;
+//! * the next `FULL_EVERY` = 8 frames are **delta** frames carrying only
+//!   the buckets dirtied since the chain's base full frame, linked to it by
+//!   the `DLTA` chain header's base CRC (see [`crate::checkpoint`]); the
+//!   frame after them is a compaction.
 //!
 //! Snapshots are taken under each shard's lock — a brief pause per shard,
 //! not a pipeline drain. Records still in flight through the SPSC queues
@@ -28,20 +36,20 @@
 //! clears the chain — the dirty epochs were already opened, so the service
 //! must not fall back to delta frames until a full frame lands (a full
 //! frame never depends on dirty state, so nothing is lost by retrying).
-//! Once the budget is exhausted the [`OnFault`] policy decides: `Degrade`
-//! skips the tick and tries again at the next one (durability lags,
-//! ingest is unaffected); `Stop` shuts the service down and flags it in
-//! [`DurabilityStatus::stopped_on_fault`].
+//! Once the budget is exhausted the service degrades: the failures are
+//! counted in [`DurabilityStatus::failed_saves`], a waiting
+//! [`DurabilityService::checkpoint_now`] receives the error, and the next
+//! tick tries again. Durability lags; ingest is unaffected.
 //!
 //! ## Prune safety
 //!
 //! A delta frame is useless without its base, so the service clamps the
-//! [`Checkpointer`]'s keep limit to at least `2·full_every + 2`
-//! generations. A chain holds at most `full_every + 1` frames (its base
-//! plus `full_every` deltas before the next compaction), so the clamp
-//! keeps the live chain *and the whole previous chain*: if the newest
-//! chain's base turns out torn, restore falls back onto the previous
-//! chain's newest delta, whose base has not been pruned.
+//! [`Checkpointer`]'s keep limit to at least `2·FULL_EVERY + 2` = 18
+//! generations. A chain holds at most `FULL_EVERY + 1` frames (its base
+//! plus 8 deltas before the next compaction), so the clamp keeps the live
+//! chain *and the whole previous chain*: if the newest chain's base turns
+//! out torn, restore falls back onto the previous chain's newest delta,
+//! whose base has not been pruned.
 //!
 //! ## Deterministic checkpoints
 //!
@@ -62,43 +70,29 @@ use crate::table::Ltc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// What the service does once a save has exhausted its retry budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnFault {
-    /// Skip the failed tick and try again at the next interval. Ingest is
-    /// unaffected; durability lags until a save succeeds. Failures are
-    /// counted in [`DurabilityStatus::failed_saves`].
-    #[default]
-    Degrade,
-    /// Shut the service down. [`DurabilityStatus::stopped_on_fault`] is
-    /// set and any blocked [`DurabilityService::checkpoint_now`] callers
-    /// receive the error.
-    Stop,
-}
+/// Delta frames between full frames: once the live chain holds this many
+/// deltas the next frame is a compaction.
+const FULL_EVERY: u32 = 8;
 
-/// Knobs for the background durability service.
+/// Minimum keep limit of the service's store: the live chain plus the whole
+/// previous chain, `FULL_EVERY + 1` frames each.
+const MIN_KEEP: usize = 2 * (FULL_EVERY as usize + 1);
+
+/// Settings for the background durability service. Only the tick interval
+/// is configurable; the chain cadence and the fault budget are fixed (see
+/// the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityPolicy {
     /// Time between automatic checkpoint ticks. Explicit
     /// [`DurabilityService::checkpoint_now`] requests are served
     /// immediately regardless.
     pub interval: Duration,
-    /// Delta frames between full frames: once the live chain holds this
-    /// many deltas the next frame is a compaction (a fresh full frame).
-    /// `0` makes every frame full. Also sets the prune clamp,
-    /// `2·full_every + 2` — see the module docs.
-    pub full_every: u32,
-    /// Behaviour once the retry budget is exhausted (see the module docs
-    /// for the fixed budget and backoff).
-    pub on_fault: OnFault,
 }
 
 impl Default for DurabilityPolicy {
     fn default() -> Self {
         Self {
             interval: Duration::from_millis(200),
-            full_every: 8,
-            on_fault: OnFault::Degrade,
         }
     }
 }
@@ -119,8 +113,6 @@ pub struct DurabilityStatus {
     pub chain_length: u32,
     /// Newest generation the service published.
     pub last_generation: Option<u64>,
-    /// The service stopped because [`OnFault::Stop`] fired.
-    pub stopped_on_fault: bool,
 }
 
 /// Cross-thread control block: explicit-checkpoint tickets and shutdown.
@@ -147,8 +139,8 @@ pub struct DurabilityService {
 
 impl DurabilityService {
     /// Attach a durability service to `runtime`, publishing through
-    /// `store` (its keep limit is clamped to `2·full_every + 2` — see the
-    /// module docs). The service holds shard handles, not the runtime:
+    /// `store` (its keep limit is clamped to at least 18 generations — see
+    /// the module docs). The service holds shard handles, not the runtime:
     /// `runtime` stays fully usable (including a later
     /// [`ParallelLtc::restore_from`], after stopping the service).
     ///
@@ -159,17 +151,8 @@ impl DurabilityService {
         store: Checkpointer,
         policy: DurabilityPolicy,
     ) -> Result<Self, CheckpointError> {
-        // The live chain plus the whole previous chain, `full_every + 1`
-        // frames each.
-        let min_keep = (policy.full_every as usize)
-            .saturating_add(1)
-            .saturating_mul(2);
-        let store = if store.keep_limit() < min_keep {
-            store.keep_generations(min_keep)
-        } else {
-            store
-        };
-        let store = Arc::new(store);
+        let keep = store.keep_limit().max(MIN_KEEP);
+        let store = Arc::new(store.keep_generations(keep));
         let shards: Vec<Arc<Mutex<Ltc>>> = runtime.shard_tables().to_vec();
         let obs = runtime.obs().cloned();
         let trace = obs
@@ -183,7 +166,7 @@ impl DurabilityService {
             obs,
             trace,
             store: Arc::clone(&store),
-            policy,
+            interval: policy.interval,
             control: Arc::clone(&control),
             status: Arc::clone(&status),
             chain: None,
@@ -276,7 +259,7 @@ struct Worker {
     /// thread runs off the batch path, so there is no batch to parent to).
     trace: Option<TraceTrack>,
     store: Arc<Checkpointer>,
-    policy: DurabilityPolicy,
+    interval: Duration,
     control: Arc<(Mutex<Control>, Condvar)>,
     status: Arc<Mutex<DurabilityStatus>>,
     /// Live delta chain; `None` until a full frame lands (and again after
@@ -301,9 +284,6 @@ impl Worker {
                 Wake::Stop => break,
                 Wake::Tick => {
                     let _ = self.save_once();
-                    if self.stopped_on_fault() {
-                        break;
-                    }
                 }
                 Wake::Explicit => {
                     let result = self.save_once();
@@ -312,9 +292,6 @@ impl Worker {
                     guard.served = guard.served.saturating_add(1);
                     guard.last = Some(result);
                     cvar.notify_all();
-                    if self.stopped_on_fault() {
-                        break;
-                    }
                 }
             }
         }
@@ -342,7 +319,7 @@ impl Worker {
             if guard.tickets > guard.served {
                 return Wake::Explicit;
             }
-            let (next, timeout) = match cvar.wait_timeout(guard, self.policy.interval) {
+            let (next, timeout) = match cvar.wait_timeout(guard, self.interval) {
                 Ok(pair) => pair,
                 Err(poisoned) => poisoned.into_inner(),
             };
@@ -375,9 +352,6 @@ impl Worker {
                     self.with_status(|s| s.failed_saves = s.failed_saves.saturating_add(1));
                     attempt = attempt.saturating_add(1);
                     if attempt > MAX_RESTARTS {
-                        if self.policy.on_fault == OnFault::Stop {
-                            self.with_status(|s| s.stopped_on_fault = true);
-                        }
                         return Err(error);
                     }
                     std::thread::sleep(backoff_for(attempt));
@@ -393,7 +367,7 @@ impl Worker {
         let compact = self
             .chain
             .as_ref()
-            .is_some_and(|chain| chain.length >= self.policy.full_every);
+            .is_some_and(|chain| chain.length >= FULL_EVERY);
         match self.chain {
             Some(ref mut chain) if !compact => {
                 let _span = self.trace.as_ref().map(|t| t.span(names::DELTA_SAVE, None));
@@ -447,10 +421,6 @@ impl Worker {
         }
     }
 
-    fn stopped_on_fault(&self) -> bool {
-        lock_recover(&self.status).stopped_on_fault
-    }
-
     fn with_status(&self, f: impl FnOnce(&mut DurabilityStatus)) {
         f(&mut lock_recover(&self.status));
     }
@@ -502,7 +472,6 @@ mod tests {
     fn manual_policy() -> DurabilityPolicy {
         DurabilityPolicy {
             interval: Duration::from_secs(3_600),
-            ..DurabilityPolicy::default()
         }
     }
 
@@ -510,23 +479,22 @@ mod tests {
     fn explicit_checkpoints_follow_the_cadence() {
         let scratch = ScratchDir::new("cadence");
         let runtime = ParallelLtc::with_batch_size(config(), 2, 8);
-        let policy = DurabilityPolicy {
-            full_every: 2,
-            ..manual_policy()
-        };
-        let service =
-            DurabilityService::attach(&runtime, Checkpointer::new(scratch.path()).unwrap(), policy)
-                .unwrap();
-        // full, delta, delta, compaction(full), delta
-        for _ in 0..5 {
+        let service = DurabilityService::attach(
+            &runtime,
+            Checkpointer::new(scratch.path()).unwrap(),
+            manual_policy(),
+        )
+        .unwrap();
+        // full, 8 deltas, compaction(full), delta
+        for _ in 0..11 {
             service.checkpoint_now().unwrap();
         }
         let status = service.status();
         assert_eq!(status.full_saves, 2);
-        assert_eq!(status.delta_saves, 3);
+        assert_eq!(status.delta_saves, 9);
         assert_eq!(status.compactions, 1);
         assert_eq!(status.failed_saves, 0);
-        assert_eq!(status.last_generation, Some(5));
+        assert_eq!(status.last_generation, Some(11));
         assert_eq!(status.chain_length, 1, "one delta after the compaction");
     }
 
@@ -566,13 +534,16 @@ mod tests {
     fn keep_limit_is_clamped_for_chain_safety() {
         let scratch = ScratchDir::new("clamp");
         let runtime = ParallelLtc::with_batch_size(config(), 2, 8);
-        let policy = DurabilityPolicy {
-            full_every: 6,
-            ..manual_policy()
-        };
         let store = Checkpointer::new(scratch.path()).unwrap(); // default keep = 3
-        let service = DurabilityService::attach(&runtime, store, policy).unwrap();
-        assert_eq!(service.store().keep_limit(), 14, "2·full_every + 2");
+        let service = DurabilityService::attach(&runtime, store, manual_policy()).unwrap();
+        assert_eq!(service.store().keep_limit(), 18, "2·FULL_EVERY + 2");
+        drop(service);
+        // A keep limit above the clamp is left alone.
+        let store = Checkpointer::new(scratch.path())
+            .unwrap()
+            .keep_generations(40);
+        let service = DurabilityService::attach(&runtime, store, manual_policy()).unwrap();
+        assert_eq!(service.store().keep_limit(), 40);
     }
 
     #[test]
@@ -604,7 +575,6 @@ mod tests {
         runtime.sync().unwrap();
         let policy = DurabilityPolicy {
             interval: Duration::from_millis(5),
-            ..DurabilityPolicy::default()
         };
         let service =
             DurabilityService::attach(&runtime, Checkpointer::new(scratch.path()).unwrap(), policy)

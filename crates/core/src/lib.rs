@@ -73,10 +73,10 @@ pub mod table;
 pub mod window;
 
 pub use cell::Cell;
-pub use checkpoint::{CheckpointError, Checkpointer, DeltaChain};
+pub use checkpoint::{CheckpointError, Checkpointer};
 pub use clock::ClockPointer;
 pub use config::{LtcConfig, LtcConfigBuilder, PeriodMode, Variant, MAX_CELLS_PER_BUCKET};
-pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus, OnFault};
+pub use durability::{DurabilityPolicy, DurabilityService, DurabilityStatus};
 pub use merge::MergeError;
 pub use obs::{EventJournal, EventKind, MetricsRegistry, RuntimeObs};
 pub use pipeline::{FaultKind, ParallelLtc, RuntimeError, ShardHealth, WorkerFault};

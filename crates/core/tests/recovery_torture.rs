@@ -1,11 +1,14 @@
 //! Crash-recovery torture suite for the background durability service and
 //! the delta-checkpoint chain.
 //!
-//! Every scenario is deterministic: the stream is quiesced
-//! (`end_period`/`sync`) before each checkpoint so a generation covers an
-//! exact record prefix, failpoints fire on fixed schedules
-//! (`FireSpec::once` / `FireSpec::nth`), and "crash + restart" is a fresh
-//! runtime restoring from the store directory. Sites driven here:
+//! Every chain is written the one way production writes it, through
+//! `DurabilityService::checkpoint_now`. Every scenario is deterministic:
+//! the stream is quiesced (`end_period`/`sync`) before each checkpoint so
+//! a generation covers an exact record prefix, failpoints fire on fixed
+//! schedules (`FireSpec::once` / `FireSpec::nth`, or `FireSpec::always`
+//! where an error must outlast the service's retries), and "crash +
+//! restart" is a fresh runtime restoring from the store directory. Sites
+//! driven here:
 //!
 //! * `checkpoint::write`     — torn/corrupt *full* frame (base of a chain)
 //! * `checkpoint::delta_write` — torn/corrupt *delta* frame mid-chain
@@ -27,7 +30,7 @@
 
 use ltc_common::Weights;
 use ltc_core::checkpoint::Checkpointer;
-use ltc_core::durability::{DurabilityPolicy, DurabilityService, OnFault};
+use ltc_core::durability::{DurabilityPolicy, DurabilityService};
 use ltc_core::failpoint::{self, FailAction, FireSpec};
 use ltc_core::{CheckpointError, LtcConfig, ParallelLtc};
 use std::path::{Path, PathBuf};
@@ -88,8 +91,6 @@ fn runtime(shards: usize, batch: usize) -> ParallelLtc {
 fn manual_policy() -> DurabilityPolicy {
     DurabilityPolicy {
         interval: Duration::from_secs(3_600),
-        full_every: 8,
-        on_fault: OnFault::Degrade,
     }
 }
 
@@ -121,34 +122,55 @@ fn reference_frame(upto: u64) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite (a): a failed fsync/rename surfaces as CheckpointError and
-// publishes nothing.
+// A failed fsync/rename surfaces as CheckpointError, publishes nothing and
+// leaves no temp file behind.
+
+/// File names in `dir` with a `.tmp` extension.
+fn temp_files(dir: &Path) -> Vec<std::ffi::OsString> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        .map(|e| e.file_name())
+        .collect()
+}
 
 #[test]
 fn fsync_failure_surfaces_as_error_and_publishes_nothing() {
     let _guard = scenario();
     let scratch = ScratchDir::new("fsync");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::once());
-    let err = p
-        .save_full_checkpoint(&store)
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    // Every fsync fails, so the retries cannot mask the error.
+    failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::always());
+    let err = service
+        .checkpoint_now()
         .expect_err("failed fsync must not look like success");
     assert!(matches!(err, CheckpointError::Io(_)), "got: {err:?}");
     failpoint::clear();
+    let status = service.status();
+    assert_eq!(status.failed_saves, 4, "1 attempt + 3 retries");
+    assert_eq!(status.full_saves, 0);
     // Nothing published, no temp litter: the store is as if the save never
     // happened.
-    assert_eq!(store.latest().unwrap(), None, "no generation published");
+    assert_eq!(
+        service.store().latest().unwrap(),
+        None,
+        "no generation published"
+    );
     let leftovers: Vec<_> = std::fs::read_dir(scratch.path())
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.file_name())
         .collect();
     assert!(leftovers.is_empty(), "leftovers: {leftovers:?}");
-    // The very next save (fsync healthy again) publishes generation 1.
-    let chain = p.save_full_checkpoint(&store).expect("healthy save");
-    assert_eq!(chain.base_generation, 1);
+    // The very next save (fsync healthy again) publishes generation 1 as
+    // a full frame: the failed base left no chain to extend.
+    assert_eq!(service.checkpoint_now().expect("healthy save"), 1);
+    let status = service.status();
+    assert_eq!((status.full_saves, status.delta_saves), (1, 0));
+    drop(service);
     p.finish().expect("healthy");
 }
 
@@ -156,28 +178,39 @@ fn fsync_failure_surfaces_as_error_and_publishes_nothing() {
 fn rename_failure_aborts_between_write_and_publish() {
     let _guard = scenario();
     let scratch = ScratchDir::new("rename");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    assert_eq!(service.checkpoint_now().expect("base"), 1);
     ingest_round(&mut p, 1);
-    // The delta's temp file is fully written and fsynced, but the crash
+    // Each attempt's temp file is fully written and fsynced, but the crash
     // lands before the rename: the store must still only hold the base.
-    failpoint::configure("checkpoint::rename", FailAction::Error, FireSpec::once());
-    let err = p
-        .save_delta_checkpoint(&store, &mut chain)
+    failpoint::configure("checkpoint::rename", FailAction::Error, FireSpec::always());
+    let err = service
+        .checkpoint_now()
         .expect_err("failed rename must not look like success");
     assert!(matches!(err, CheckpointError::Io(_)), "got: {err:?}");
     failpoint::clear();
-    assert_eq!(chain.length, 0, "failed delta did not extend the chain");
-    assert_eq!(store.generations().unwrap(), vec![1]);
+    let status = service.status();
+    assert_eq!(status.failed_saves, 4, "1 attempt + 3 retries");
+    assert_eq!(status.delta_saves, 0);
+    assert_eq!(
+        status.chain_length, 0,
+        "failed delta did not extend the chain"
+    );
+    assert_eq!(service.store().generations().unwrap(), vec![1]);
+    assert!(
+        temp_files(scratch.path()).is_empty(),
+        "temp file left behind"
+    );
     // Retrying the delta succeeds and carries the same buckets.
-    let generation = p.save_delta_checkpoint(&store, &mut chain).expect("retry");
-    assert_eq!(generation, 2);
+    assert_eq!(service.checkpoint_now().expect("retry"), 2);
+    assert_eq!(service.status().chain_length, 1);
     let expected = p.to_checkpoint();
+    drop(service);
     drop(p);
     let mut q = runtime(2, 8);
-    assert_eq!(q.restore_from(&store).unwrap(), 2);
+    assert_eq!(q.restore_from(&store_at(scratch.path())).unwrap(), 2);
     assert_eq!(q.to_checkpoint(), expected);
     q.finish().expect("healthy");
 }
@@ -190,10 +223,10 @@ fn rename_failure_aborts_between_write_and_publish() {
 fn torn_delta_write_falls_back_to_the_chain_base() {
     let _guard = scenario();
     let scratch = ScratchDir::new("torn-delta");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    assert_eq!(service.checkpoint_now().expect("base"), 1);
     let acknowledged = p.to_checkpoint();
     ingest_round(&mut p, 1);
     // Mid-delta-write tear: the frame publishes (rename goes through) but
@@ -203,13 +236,13 @@ fn torn_delta_write_falls_back_to_the_chain_base() {
         FailAction::Truncate { keep: 60 },
         FireSpec::once(),
     );
-    p.save_delta_checkpoint(&store, &mut chain)
-        .expect("write itself succeeds");
+    assert_eq!(service.checkpoint_now().expect("write itself succeeds"), 2);
     failpoint::clear();
+    drop(service);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
-        q.restore_from(&store).unwrap(),
+        q.restore_from(&store_at(scratch.path())).unwrap(),
         1,
         "torn delta rejected, chain base restored"
     );
@@ -222,10 +255,10 @@ fn torn_delta_write_falls_back_to_the_chain_base() {
 fn corrupt_nth_delta_spares_the_earlier_delta() {
     let _guard = scenario();
     let scratch = ScratchDir::new("nth-delta");
-    let store = Checkpointer::new(scratch.path()).unwrap();
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let mut chain = p.save_full_checkpoint(&store).expect("base");
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    service.checkpoint_now().expect("base");
     // nth mode: the first delta write is clean, the second is corrupted.
     failpoint::configure(
         "checkpoint::delta_write",
@@ -233,16 +266,16 @@ fn corrupt_nth_delta_spares_the_earlier_delta() {
         FireSpec::nth(1),
     );
     ingest_round(&mut p, 1);
-    p.save_delta_checkpoint(&store, &mut chain).expect("clean");
+    service.checkpoint_now().expect("clean");
     let acknowledged = p.to_checkpoint();
     ingest_round(&mut p, 2);
-    p.save_delta_checkpoint(&store, &mut chain)
-        .expect("write itself succeeds");
+    assert_eq!(service.checkpoint_now().expect("write itself succeeds"), 3);
     failpoint::clear();
+    drop(service);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
-        q.restore_from(&store).unwrap(),
+        q.restore_from(&store_at(scratch.path())).unwrap(),
         2,
         "corrupt newest delta rejected, previous delta restored"
     );
@@ -256,19 +289,16 @@ fn torn_compaction_falls_back_to_the_chain_it_was_replacing() {
     let _guard = scenario();
     let scratch = ScratchDir::new("torn-compact");
     let mut p = runtime(2, 8);
-    ingest_round(&mut p, 0);
-    let policy = DurabilityPolicy {
-        full_every: 1, // compact after every delta
-        ..manual_policy()
-    };
-    let service =
-        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
-    assert_eq!(service.checkpoint_now().unwrap(), 1, "full base");
-    ingest_round(&mut p, 1);
-    assert_eq!(service.checkpoint_now().unwrap(), 2, "delta");
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    // A whole chain: the full base (generation 1) and FULL_EVERY = 8
+    // deltas (generations 2..=9), one round each.
+    for round in 0..9 {
+        ingest_round(&mut p, round);
+        assert_eq!(service.checkpoint_now().unwrap(), round + 1);
+    }
     let acknowledged = p.to_checkpoint();
-    ingest_round(&mut p, 2);
-    // The cadence makes the third save a compaction — torn mid-write.
+    ingest_round(&mut p, 9);
+    // The cadence makes the tenth save a compaction — torn mid-write.
     failpoint::configure(
         "checkpoint::compact",
         FailAction::Truncate { keep: 80 },
@@ -276,22 +306,22 @@ fn torn_compaction_falls_back_to_the_chain_it_was_replacing() {
     );
     assert_eq!(
         service.checkpoint_now().unwrap(),
-        3,
+        10,
         "write itself succeeds"
     );
     failpoint::clear();
     let status = service.status();
-    assert_eq!(status.compactions, 1, "the third save was a compaction");
+    assert_eq!(status.compactions, 1, "the tenth save was a compaction");
     drop(service);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
         q.restore_from(&store_at(scratch.path())).unwrap(),
-        2,
-        "torn compaction rejected, prior chain (base 1 + delta 2) restored"
+        9,
+        "torn compaction rejected, prior chain (base 1 + delta 9) restored"
     );
     assert_eq!(q.to_checkpoint(), acknowledged);
-    assert_eq!(q.to_checkpoint(), reference_frame(1), "replay agrees");
+    assert_eq!(q.to_checkpoint(), reference_frame(8), "replay agrees");
     q.finish().expect("healthy");
 }
 
@@ -303,29 +333,32 @@ fn store_at(path: &Path) -> Checkpointer {
 fn torn_full_base_abandons_its_whole_chain() {
     let _guard = scenario();
     let scratch = ScratchDir::new("torn-base");
-    let store = Checkpointer::new(scratch.path())
-        .unwrap()
-        .keep_generations(8);
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    p.save_full_checkpoint(&store).expect("chain 1 base");
+    let first = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    assert_eq!(first.checkpoint_now().expect("chain 1 base"), 1);
+    drop(first);
     ingest_round(&mut p, 1);
     let acknowledged = p.to_checkpoint();
-    // Chain 2's base is torn on disk; its delta (gen 3) is well-formed but
-    // must be abandoned because its base cannot be trusted.
+    // A restarted service opens chain 2 with a fresh base, torn on disk;
+    // its delta (gen 3) is well-formed but must be abandoned because its
+    // base cannot be trusted.
+    let second = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
     failpoint::configure(
         "checkpoint::write",
         FailAction::Truncate { keep: 120 },
         FireSpec::once(),
     );
-    let mut chain2 = p.save_full_checkpoint(&store).expect("write succeeds");
+    assert_eq!(second.checkpoint_now().expect("write succeeds"), 2);
     failpoint::clear();
     ingest_round(&mut p, 2);
-    p.save_delta_checkpoint(&store, &mut chain2).expect("delta");
+    assert_eq!(second.checkpoint_now().expect("delta"), 3);
+    assert_eq!(second.status().chain_length, 1, "gen 3 is chain 2's delta");
+    drop(second);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
-        q.restore_from(&store).unwrap(),
+        q.restore_from(&store_at(scratch.path())).unwrap(),
         1,
         "whole torn chain skipped, previous chain's base restored"
     );
@@ -342,49 +375,86 @@ fn torn_full_base_abandons_its_whole_chain() {
 
 #[test]
 fn prune_clamp_keeps_the_whole_previous_chain() {
-    // Two whole chains of `full_every + 1` frames each: the clamp must keep
-    // chain 1's base on disk while chain 2 rides a corrupt compaction, so
-    // restore can fall back onto chain 1's newest delta.
+    // Two whole chains of `FULL_EVERY + 1` = 9 frames each: the clamp must
+    // keep chain 1's base on disk while chain 2 rides a corrupt
+    // compaction, so restore can fall back onto chain 1's newest delta.
     let _guard = scenario();
     let scratch = ScratchDir::new("prune-clamp");
     let mut p = runtime(2, 8);
-    let policy = DurabilityPolicy {
-        full_every: 3,
-        ..manual_policy()
-    };
-    let service =
-        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
-    // Chain 1: base (generation 1) + 3 deltas (generations 2..=4).
-    for round in 0..4 {
+    // The store's default keep limit (3) is raised to 2·FULL_EVERY + 2.
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    assert_eq!(service.store().keep_limit(), 18);
+    // Chain 1: base (generation 1) + 8 deltas (generations 2..=9).
+    for round in 0..9 {
         ingest_round(&mut p, round);
         service.checkpoint_now().expect("chain 1");
     }
     // Chain 2's base is the compaction — corrupted as it is published.
-    ingest_round(&mut p, 4);
+    ingest_round(&mut p, 9);
     failpoint::configure(
         "checkpoint::compact",
         FailAction::CorruptByte { offset: 100 },
         FireSpec::once(),
     );
-    assert_eq!(service.checkpoint_now().unwrap(), 5, "corrupt compaction");
+    assert_eq!(service.checkpoint_now().unwrap(), 10, "corrupt compaction");
     failpoint::clear();
-    // 3 deltas on the corrupt base (generations 6..=8).
-    for round in 5..8 {
+    // 8 deltas on the corrupt base (generations 11..=18).
+    for round in 10..18 {
         ingest_round(&mut p, round);
         service.checkpoint_now().expect("chain 2 delta");
     }
     let status = service.status();
-    assert_eq!(status.compactions, 1, "generation 5 was the compaction");
-    assert_eq!(status.chain_length, 3);
+    assert_eq!(status.compactions, 1, "generation 10 was the compaction");
+    assert_eq!(status.chain_length, 8);
+    assert_eq!(
+        service.store().generations().unwrap(),
+        (1..=18).collect::<Vec<u64>>(),
+        "chain 1's base survived pruning"
+    );
     drop(service);
     drop(p);
     let mut q = runtime(2, 8);
     assert_eq!(
         q.restore_from(&store_at(scratch.path())).unwrap(),
-        4,
+        9,
         "chain 2 abandoned, chain 1's last delta restored"
     );
-    assert_eq!(q.to_checkpoint(), reference_frame(3), "replay agrees");
+    assert_eq!(q.to_checkpoint(), reference_frame(8), "replay agrees");
+    q.finish().expect("healthy");
+}
+
+// ---------------------------------------------------------------------------
+// The one-shot writer beside the service: `checkpoint_to` never touches the
+// dirty epoch, so the service's chain stays sound.
+
+#[test]
+fn checkpoint_to_beside_the_service_keeps_its_chain_sound() {
+    let _guard = scenario();
+    let scratch = ScratchDir::new("beside");
+    let other = ScratchDir::new("beside-other");
+    let mut p = runtime(2, 8);
+    ingest_round(&mut p, 0);
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+    assert_eq!(service.checkpoint_now().expect("base"), 1);
+    ingest_round(&mut p, 1);
+    assert_eq!(
+        p.checkpoint_to(&store_at(other.path())).expect("one-shot"),
+        1
+    );
+    ingest_round(&mut p, 2);
+    assert_eq!(service.checkpoint_now().expect("delta"), 2);
+    assert_eq!(service.status().delta_saves, 1, "generation 2 is a delta");
+    let expected = p.to_checkpoint();
+    drop(service);
+    drop(p);
+    let mut q = runtime(2, 8);
+    assert_eq!(q.restore_from(&store_at(scratch.path())).unwrap(), 2);
+    assert_eq!(
+        q.to_checkpoint(),
+        expected,
+        "the delta still carries every bucket dirtied since its base"
+    );
+    assert_eq!(q.to_checkpoint(), reference_frame(2), "replay agrees");
     q.finish().expect("healthy");
 }
 
@@ -443,15 +513,8 @@ fn repeated_kill_restore_cycles_track_the_acknowledged_prefix() {
                 }
             }
         }
-        let service = DurabilityService::attach(
-            &p,
-            Checkpointer::new(scratch.path()).unwrap(),
-            DurabilityPolicy {
-                full_every: 2,
-                ..manual_policy()
-            },
-        )
-        .unwrap();
+        let service =
+            DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
         // Save 1: the cycle's full base frame.
         let mut chain_trusted = true;
         ingest_round(&mut p, round);
@@ -519,21 +582,23 @@ fn torture_cycle_is_deterministic_across_runs() {
     // timing.
     let run = || -> Vec<u8> {
         let scratch = ScratchDir::new("determinism");
-        let store = Checkpointer::new(scratch.path()).unwrap();
         let mut p = runtime(2, 8);
         ingest_round(&mut p, 0);
-        let mut chain = p.save_full_checkpoint(&store).expect("base");
+        let service =
+            DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
+        service.checkpoint_now().expect("base");
         ingest_round(&mut p, 1);
         failpoint::configure(
             "checkpoint::delta_write",
             FailAction::Truncate { keep: 60 },
             FireSpec::once(),
         );
-        p.save_delta_checkpoint(&store, &mut chain).expect("torn");
+        service.checkpoint_now().expect("torn");
         failpoint::clear();
+        drop(service);
         drop(p);
         let mut q = runtime(2, 8);
-        q.restore_from(&store).expect("fallback");
+        q.restore_from(&store_at(scratch.path())).expect("fallback");
         let frame = q.to_checkpoint();
         q.finish().expect("healthy");
         frame
@@ -552,12 +617,7 @@ fn worker_death_while_the_service_runs_keeps_checkpoints_sound() {
     let scratch = ScratchDir::new("worker-death");
     let mut p = runtime(1, 8);
     ingest_round(&mut p, 0);
-    let service = DurabilityService::attach(
-        &p,
-        Checkpointer::new(scratch.path()).unwrap(),
-        manual_policy(),
-    )
-    .unwrap();
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
     service.checkpoint_now().expect("base");
     // The worker dies mid-batch; supervision rolls the shard back to its
     // last period boundary and respawns.
@@ -604,12 +664,7 @@ fn persistent_save_failure_exhausts_budget_and_degrades() {
     let scratch = ScratchDir::new("exhaust");
     let mut p = runtime(2, 8);
     ingest_round(&mut p, 0);
-    let policy = DurabilityPolicy {
-        on_fault: OnFault::Degrade,
-        ..manual_policy()
-    };
-    let service =
-        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
+    let service = DurabilityService::attach(&p, store_at(scratch.path()), manual_policy()).unwrap();
     // Every fsync fails: 1 try + 3 retries, then the tick gives up.
     failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::always());
     let err = service.checkpoint_now().expect_err("budget exhausted");
@@ -617,33 +672,9 @@ fn persistent_save_failure_exhausts_budget_and_degrades() {
     failpoint::clear();
     let status = service.status();
     assert_eq!(status.failed_saves, 4, "1 attempt + 3 retries");
-    assert!(!status.stopped_on_fault, "Degrade keeps the service alive");
+    assert_eq!(status.last_generation, None);
     // Degraded, not dead: the next request succeeds.
     service.checkpoint_now().expect("healthy again");
     assert_eq!(service.status().last_generation, Some(1));
-    p.finish().expect("healthy");
-}
-
-#[test]
-fn on_fault_stop_shuts_the_service_down() {
-    let _guard = scenario();
-    let scratch = ScratchDir::new("stop");
-    let mut p = runtime(2, 8);
-    ingest_round(&mut p, 0);
-    let policy = DurabilityPolicy {
-        on_fault: OnFault::Stop,
-        ..manual_policy()
-    };
-    let service =
-        DurabilityService::attach(&p, Checkpointer::new(scratch.path()).unwrap(), policy).unwrap();
-    failpoint::configure("checkpoint::fsync", FailAction::Error, FireSpec::always());
-    let err = service.checkpoint_now().expect_err("budget exhausted");
-    assert!(matches!(err, CheckpointError::Io(_)));
-    failpoint::clear();
-    let status = service.status();
-    assert_eq!(status.failed_saves, 4, "1 attempt + 3 retries");
-    assert!(status.stopped_on_fault);
-    // The stopped service rejects further work instead of hanging.
-    assert!(service.checkpoint_now().is_err());
     p.finish().expect("healthy");
 }

@@ -4,7 +4,7 @@
 //!
 //! The service writes **delta frames** (only buckets dirtied since the last
 //! full frame) on a timer and compacts the chain back into a full frame
-//! every few deltas, so the hot path never stops for a full snapshot. Every
+//! every 8 deltas, so the hot path never stops for a full snapshot. Every
 //! delta carries the CRC of its base frame; restore verifies the chain and
 //! falls back a generation if any link is torn.
 //!
@@ -52,8 +52,6 @@ fn main() {
         Checkpointer::new(&dir).expect("store"),
         DurabilityPolicy {
             interval: Duration::from_millis(20), // background tick cadence
-            full_every: 4,                       // compact after 4 deltas
-            ..DurabilityPolicy::default()
         },
     )
     .expect("durability service");
