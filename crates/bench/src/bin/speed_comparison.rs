@@ -2,9 +2,9 @@
 //! million insertions per second for every algorithm on every dataset, at
 //! the 50 KB default budget, measured on the live stream replay.
 //!
-//! Criterion microbenches (`cargo bench -p ltc-bench`) give the
-//! statistically rigorous per-operation numbers; this binary gives the
-//! end-to-end table across all algorithms and datasets in one shot.
+//! This binary gives the end-to-end table across all algorithms and
+//! datasets in one shot; `pipeline_speed` and perfbench time the LTC
+//! runtime's own paths layer by layer.
 
 use ltc_bench::{dataset, emit, memory_sweep_kb, sweep_point};
 use ltc_common::{MemoryBudget, Weights};

@@ -337,6 +337,20 @@ impl TableStore {
         self.buf.get(self.base..end).unwrap_or(&[])
     }
 
+    /// Overwrite every cell with `src`'s — a raw copy of the live words into
+    /// this store's own allocation — and stamp every bucket dirty in this
+    /// store's epoch, as loading the cells one [`Self::set_cell`] at a time
+    /// would. The shapes must match; words past the shorter store are left
+    /// alone rather than panicking.
+    pub(crate) fn copy_from(&mut self, src: &TableStore) {
+        let end = self.base.saturating_add(self.slots.saturating_mul(2));
+        let live = self.buf.get_mut(self.base..end).unwrap_or_default();
+        for (dst, &word) in live.iter_mut().zip(src.words()) {
+            *dst = word;
+        }
+        self.dirty.fill(self.epoch);
+    }
+
     /// The word index of bucket `b`'s tile (its id lane; the meta lane
     /// starts `d` words later).
     #[inline]
@@ -728,9 +742,8 @@ impl Clone for TableStore {
         if let Some(dst) = out.buf.get_mut(out.base..end) {
             dst.copy_from_slice(self.words());
         }
-        // The clone inherits the dirty state too: a snapshot taken from a
-        // worker's period-boundary copy must report the same delta set as
-        // the original would have.
+        // The clone inherits the dirty state too, so a delta taken from
+        // the copy reports the same buckets as the original would.
         out.dirty.copy_from_slice(&self.dirty);
         out.epoch = self.epoch;
         out

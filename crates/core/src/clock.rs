@@ -40,6 +40,14 @@ impl ClockPointer {
         }
     }
 
+    /// Park the pointer back at slot 0 with a fresh period, as
+    /// [`new`](ClockPointer::new) leaves it.
+    pub(crate) fn rewind(&mut self) {
+        self.pos = 0;
+        self.acc = 0;
+        self.scanned_this_period = 0;
+    }
+
     /// Number of cells.
     #[inline]
     pub fn total(&self) -> usize {

@@ -40,7 +40,8 @@ pub enum EventKind {
     /// (`FaultKind::code`).
     WorkerFault,
     /// A shard's table was rolled back to its last period-boundary
-    /// snapshot during recovery; `detail` = restarts so far on that shard.
+    /// rollback point during recovery; `detail` = restarts so far on that
+    /// shard.
     Rollback,
     /// A shard exhausted its restart budget and degraded to lossy mode;
     /// `detail` = records lost on that shard at the moment of degradation.

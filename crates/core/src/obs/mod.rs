@@ -100,8 +100,9 @@ pub struct RuntimeObs {
     trace_queued: Gauge,
     /// `ltc_periods_total` — period rollovers completed by the runtime.
     pub periods: Counter,
-    /// `ltc_barrier_wait_ns` — wall time `end_period`/`finish` spent
-    /// waiting on the worker barrier.
+    /// `ltc_barrier_wait_ns` — wall time the drain barrier spent waiting
+    /// for every worker to apply what was sent. The period close that
+    /// follows it in `end_period`/`finish` is not included.
     pub barrier_wait_ns: Histogram,
     /// `ltc_checkpoint_save_ns` — wall time of checkpoint serialisation +
     /// atomic publish.
@@ -159,7 +160,7 @@ impl RuntimeObs {
         );
         let barrier_wait_ns = registry.histogram(
             "ltc_barrier_wait_ns",
-            "Wall time end_period/finish spent waiting on the worker barrier (ns).",
+            "Wall time the drain barrier spent waiting on the workers (ns).",
             Labels::new(),
         );
         let checkpoint_save_ns = registry.histogram(

@@ -69,9 +69,11 @@ pub mod names {
     pub const BATCH_PROCESS: u64 = 11;
     /// The router blocks on the epoch barrier (flush + wait for acks).
     pub const BARRIER_WAIT: u64 = 12;
-    /// A shard worker applies `end_period` (CLOCK sweep + snapshot).
+    /// The coordinator closes one shard's period after the barrier
+    /// (`Ltc::end_period` + rollback-point refresh).
     pub const END_PERIOD_APPLY: u64 = 13;
-    /// A shard worker applies `finish` (final-period harvest).
+    /// The coordinator finalizes one shard after the barrier (final-period
+    /// harvest + rollback-point refresh).
     pub const FINISH_APPLY: u64 = 14;
     /// A full checkpoint frame is built and published.
     pub const CHECKPOINT_SAVE: u64 = 15;

@@ -6,8 +6,8 @@
 //! the routing side accumulates each shard's records into a batch and sends
 //! whole batches, so queue synchronisation is paid once per batch while the
 //! workers ingest through the bit-exact [`Ltc::insert_batch`] hot path.
-//! Every record and control message crosses those [`spsc`](crate::spsc)
-//! queues, the crate's only unsafe code.
+//! The [`spsc`](crate::spsc) queues, the crate's only unsafe code, carry
+//! batches and nothing else.
 //!
 //! ## Equivalence to the single-threaded runtime
 //!
@@ -21,14 +21,18 @@
 //!
 //! ## Period coordination
 //!
-//! [`end_period`](ParallelLtc::end_period) is an epoch barrier: it flushes
-//! every pending batch, enqueues an `EndPeriod` message behind them on every
-//! queue, and blocks until all workers acknowledge it. Because each queue is
-//! FIFO, every record inserted before the call lands in its shard before
-//! the period closes — the parallel stream observes exactly the same period
-//! boundaries as a sequential one. [`sync`](ParallelLtc::sync),
-//! [`finish`](ParallelLtc::finish) and shutdown run the same barrier (with
-//! no message, `Finish` and `Shutdown` respectively).
+//! Workers only apply batches; the coordinator closes periods.
+//! [`end_period`](ParallelLtc::end_period) first runs the drain barrier of
+//! [`sync`](ParallelLtc::sync): it flushes every pending batch and blocks
+//! until every live worker has acknowledged everything sent. Because each
+//! queue is FIFO, every record inserted before the call is then in its
+//! shard, and every worker is idle. The coordinator applies
+//! [`Ltc::end_period`] to each live shard under its lock and refreshes that
+//! lane's rollback point from the closed table — the parallel stream
+//! observes exactly the same period boundaries as a sequential one.
+//! [`finish`](ParallelLtc::finish) does the same with [`Ltc::finalize`].
+//! Stopping the runtime poisons every queue and joins the workers, each of
+//! which exits once its queue is drained.
 //!
 //! ## Fault model and supervision
 //!
@@ -41,18 +45,20 @@
 //! fixed policy:
 //!
 //! 1. the dead worker is joined and its fault taken from the join;
-//! 2. the shard table is rolled back to its **last checkpoint** — a
-//!    snapshot the worker captures at every period boundary;
+//! 2. the shard table is rolled back to its **rollback point** — a copy of
+//!    the table the lane keeps and the coordinator refreshes in place at
+//!    every period close;
 //! 3. within the budget of 3 restarts per shard a fresh worker is spawned
 //!    on a fresh queue after a backoff of 5 ms, doubling per restart up to
-//!    a 500 ms cap, and any barrier message still in flight is re-sent so
-//!    the epoch boundary completes;
+//!    a 500 ms cap. A barrier waiting on the dead worker waits on the
+//!    fresh one instead, which owes it nothing, so a period close in
+//!    progress completes on the rolled-back table;
 //! 4. once the 3 restarts are spent — or the OS refuses the replacement
 //!    thread — the shard is marked **lossy**: records routed to it are
 //!    dropped (and counted), while queries keep serving the shard's
 //!    last-good state alongside the healthy shards.
 //!
-//! Records between the last checkpoint and the fault are lost — that is the
+//! Records between the rollback point and the fault are lost — that is the
 //! documented recovery semantic (at-most-once per shard epoch), and
 //! [`ShardHealth`] reports both the restarts and a lower bound on the loss.
 //! Operations that can observe a degraded runtime return
@@ -87,52 +93,24 @@ use std::time::Instant;
 /// Records accumulated per shard before a batch is handed to its worker.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
-/// Messages queued per worker before the router blocks (backpressure).
+/// Batches queued per worker before the router blocks (backpressure).
 const RING_CAPACITY: usize = 8;
 
-/// One unit of work for a shard worker. Each message carries the trace
-/// context of the router-side span that produced it (`None` when tracing
-/// is off), so the worker's apply span joins the same causal tree across
-/// the SPSC boundary.
-enum Msg {
-    /// Ingest a run of records (already routed to this shard, in order).
-    /// The context is the router's `batch_enqueue` span.
-    Batch(Vec<ItemId>, Option<SpanCtx>),
-    /// Close the current period (epoch barrier point). The context is the
-    /// router's `barrier_wait` span.
-    EndPeriod(Option<SpanCtx>),
-    /// Stream over: harvest final-period flags.
-    Finish(Option<SpanCtx>),
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// Control messages the barrier can (re-)broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ctrl {
-    EndPeriod,
-    Finish,
-    Shutdown,
-}
-
-impl Ctrl {
-    /// The queue message for this control, carrying the barrier span's
-    /// context (re-sends after a restart pass `None`: the original barrier
-    /// span has already closed by then).
-    fn to_msg(self, ctx: Option<SpanCtx>) -> Msg {
-        match self {
-            Ctrl::EndPeriod => Msg::EndPeriod(ctx),
-            Ctrl::Finish => Msg::Finish(ctx),
-            Ctrl::Shutdown => Msg::Shutdown,
-        }
-    }
+/// The one unit of work a shard worker gets: a run of records already
+/// routed to its shard, in order, plus the context of the router's
+/// `batch_enqueue` span (`None` when tracing is off), so the worker's
+/// `batch_process` span joins the same causal tree across the SPSC
+/// boundary.
+struct Batch {
+    ids: Vec<ItemId>,
+    enqueue: Option<SpanCtx>,
 }
 
 /// How a worker died — the typed half of a [`WorkerFault`], also used as
 /// the `kind` label of the `ltc_worker_faults_total` metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// The worker's message handler panicked (caught by `catch_unwind`).
+    /// The worker panicked applying a batch (caught by `catch_unwind`).
     Panic,
     /// The OS refused to spawn a replacement thread.
     SpawnFailed,
@@ -282,7 +260,7 @@ struct ProgressState {
     dead: bool,
 }
 
-/// Monotone completion counter a worker bumps after every message, with a
+/// Monotone completion counter a worker bumps after every batch, with a
 /// condvar so the router can wait for a target — the ack half of the epoch
 /// barrier — plus a `dead` flag the worker raises when it dies, so the
 /// router's wait returns [`BarrierPoisoned`] instead of deadlocking.
@@ -325,7 +303,7 @@ impl Progress {
         }
     }
 
-    /// Record one completed message and wake any waiting router.
+    /// Record one completed batch and wake any waiting router.
     pub fn bump(&self) {
         let mut state = self.lock();
         state.done = state.done.saturating_add(1);
@@ -342,7 +320,7 @@ impl Progress {
         self.changed.notify_all();
     }
 
-    /// Block until at least `target` messages have completed (`Ok`), or
+    /// Block until at least `target` batches have completed (`Ok`), or
     /// until the worker is marked dead short of the target (`Err`). The
     /// predicate is (re)checked under the same lock `bump` and `mark_dead`
     /// hold while mutating, so a wakeup between the check and the wait
@@ -366,10 +344,9 @@ impl Progress {
 /// Everything a worker thread needs, bundled so respawning is one call.
 struct WorkerCtx {
     shard_index: usize,
-    queue: Arc<SpscRing<Msg>>,
+    queue: Arc<SpscRing<Batch>>,
     shard: Arc<Mutex<Ltc>>,
     progress: Arc<Progress>,
-    last_good: Arc<Mutex<Vec<u8>>>,
     /// Wait-free metric handles for this shard (`None` = metrics off).
     obs: Option<ShardObs>,
     /// This shard's span ring (`None` = tracing off). Wait-free record
@@ -382,14 +359,14 @@ struct WorkerCtx {
 struct Lane {
     /// Per-shard batch under construction.
     pending: Vec<ItemId>,
-    /// Messages enqueued to the *current* worker (the barrier's send-side
+    /// Batches enqueued to the *current* worker (the barrier's send-side
     /// count; reset on restart).
     sent: u64,
-    queue: Arc<SpscRing<Msg>>,
+    queue: Arc<SpscRing<Batch>>,
     progress: Arc<Progress>,
-    /// The shard's last checkpoint (raw [`Ltc::to_snapshot`] bytes),
-    /// refreshed by the worker at period boundaries.
-    last_good: Arc<Mutex<Vec<u8>>>,
+    /// The shard's rollback point: a copy of its table at the last period
+    /// close (or restore), refreshed in place by the coordinator.
+    point: Ltc,
     /// The live worker; it returns its fault (if it died of one) through
     /// the join.
     worker: Option<JoinHandle<Option<WorkerFault>>>,
@@ -473,7 +450,6 @@ fn spawn_worker(
         queue: Arc::clone(&lane.queue),
         shard: Arc::clone(shard),
         progress: Arc::clone(&lane.progress),
-        last_good: Arc::clone(&lane.last_good),
         obs: lane.obs.clone(),
         trace: lane.trace.clone(),
     };
@@ -505,82 +481,49 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Apply messages until `Shutdown` or a torn-down queue (`None`), or
-/// until a handler panics: then poison the queue, mark the barrier dead
-/// and return the fault — the supervisor takes it from the join.
+/// Apply batches until the queue is poisoned and drained (the runtime is
+/// stopping, or the supervisor tore the lane down), or until a batch
+/// panics: then poison the queue, mark the barrier dead and return the
+/// fault — the supervisor takes it from the join.
 fn worker_loop(ctx: &WorkerCtx) -> Option<WorkerFault> {
-    loop {
-        let Some(msg) = ctx.queue.pop() else {
-            // Poisoned and drained: the supervisor tore this lane down.
-            return None;
-        };
-        let stop = matches!(msg, Msg::Shutdown);
+    while let Some(Batch { ids, enqueue }) = ctx.queue.pop() {
         // Pre-derive the apply span's identity from the shipped context
-        // *before* entering `catch_unwind`: a panicking handler still
-        // records its (partial) span via the guard's `Drop`, and the fault
-        // event below parents under the same context.
-        let span_plan = ctx.trace.as_ref().and_then(|t| {
-            let plan = |parent: Option<SpanCtx>, name: u64| {
-                let span = t.child_or_root(parent);
-                let parent_id = parent.map(|p| p.span_id).unwrap_or(0);
-                (span, parent_id, name)
-            };
-            match &msg {
-                Msg::Batch(_, enqueue) => Some(plan(*enqueue, names::BATCH_PROCESS)),
-                Msg::EndPeriod(barrier) => Some(plan(*barrier, names::END_PERIOD_APPLY)),
-                Msg::Finish(barrier) => Some(plan(*barrier, names::FINISH_APPLY)),
-                Msg::Shutdown => None,
-            }
+        // *before* entering `catch_unwind`: a panicking batch still records
+        // its (partial) span via the guard's `Drop`, and the fault event
+        // below parents under the same span.
+        let span_plan = ctx.trace.as_ref().map(|t| {
+            let parent_id = enqueue.map(|p| p.span_id).unwrap_or(0);
+            (t.child_or_root(enqueue), parent_id)
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _apply_span = match (&ctx.trace, &span_plan) {
-                (Some(t), Some((span, parent_id, name))) => {
-                    Some(t.span_at(*span, *name, *parent_id))
+            let _apply_span = match (&ctx.trace, span_plan) {
+                (Some(t), Some((span, parent_id))) => {
+                    Some(t.span_at(span, names::BATCH_PROCESS, parent_id))
                 }
                 _ => None,
             };
-            match msg {
-                Msg::Batch(ids, _) => {
-                    fail_point!("worker::batch");
-                    // Per-batch timing only — the per-record path inside
-                    // `insert_batch` stays untouched, so the instrumentation
-                    // cost is two clock reads amortised over the whole batch.
-                    let start = ctx.obs.as_ref().map(|_| Instant::now());
-                    lock_recover(&ctx.shard).insert_batch(&ids);
-                    if let (Some(obs), Some(start)) = (&ctx.obs, start) {
-                        obs.batch_insert_ns.record(elapsed_ns(start));
-                        obs.batches.inc();
-                        obs.records.add(ids.len() as u64);
-                        // `queue_depth` is deliberately NOT updated here: the
-                        // producer already refreshes it on every push, and a
-                        // second writer on this side would ping-pong the gauge's
-                        // cache line between cores on every batch.
-                    }
-                }
-                Msg::EndPeriod(_) => {
-                    fail_point!("worker::end_period");
-                    let mut shard = lock_recover(&ctx.shard);
-                    shard.end_period();
-                    let snapshot = shard.to_snapshot();
-                    drop(shard);
-                    *lock_recover(&ctx.last_good) = snapshot;
-                }
-                Msg::Finish(_) => {
-                    let mut shard = lock_recover(&ctx.shard);
-                    shard.finalize();
-                    let snapshot = shard.to_snapshot();
-                    drop(shard);
-                    *lock_recover(&ctx.last_good) = snapshot;
-                }
-                Msg::Shutdown => {}
+            fail_point!("worker::batch");
+            // Per-batch timing only — the per-record path inside
+            // `insert_batch` stays untouched, so the instrumentation cost
+            // is two clock reads amortised over the whole batch.
+            let start = ctx.obs.as_ref().map(|_| Instant::now());
+            lock_recover(&ctx.shard).insert_batch(&ids);
+            if let (Some(obs), Some(start)) = (&ctx.obs, start) {
+                obs.batch_insert_ns.record(elapsed_ns(start));
+                obs.batches.inc();
+                obs.records.add(ids.len() as u64);
+                // `queue_depth` is deliberately NOT updated here: the
+                // producer already refreshes it on every push, and a second
+                // writer on this side would ping-pong the gauge's cache
+                // line between cores on every batch.
             }
         }));
         if let Err(payload) = outcome {
             // Mark the fault in the trace first: a zero-duration
             // `worker_fault` span parented under the apply span that died,
             // so the panic shows up inside the batch's causal tree.
-            if let (Some(t), Some((span, _, _))) = (&ctx.trace, &span_plan) {
-                t.event(names::WORKER_FAULT, Some(*span));
+            if let (Some(t), Some((span, _))) = (&ctx.trace, span_plan) {
+                t.event(names::WORKER_FAULT, Some(span));
             }
             // Then poison + mark dead. The typed fault travels back as the
             // thread's result: the supervisor's `join` both waits for this
@@ -594,10 +537,8 @@ fn worker_loop(ctx: &WorkerCtx) -> Option<WorkerFault> {
             });
         }
         ctx.progress.bump();
-        if stop {
-            return None;
-        }
     }
+    None
 }
 
 /// Push `id` onto a lane's pending batch, handing the whole batch to the
@@ -632,12 +573,12 @@ fn flush_lane(lane: &mut Lane, batch_size: usize, trace: Option<&mut RouterTrace
     if lane.pending.is_empty() || lane.lossy.is_some() {
         return true;
     }
-    let batch = std::mem::replace(&mut lane.pending, Vec::with_capacity(batch_size));
-    let len = batch.len() as u64;
+    let ids = std::mem::replace(&mut lane.pending, Vec::with_capacity(batch_size));
+    let len = ids.len() as u64;
     lane.sent = lane.sent.saturating_add(1);
     let pending_span = trace.as_ref().map(|t| t.track.begin(None));
-    let enqueue_ctx = pending_span.as_ref().map(|p| p.ctx);
-    if lane.queue.push(Msg::Batch(batch, enqueue_ctx)) {
+    let enqueue = pending_span.as_ref().map(|p| p.ctx);
+    if lane.queue.push(Batch { ids, enqueue }) {
         if let (Some(t), Some(p)) = (trace, pending_span) {
             t.track.finish(&p, names::BATCH_ENQUEUE);
             t.last_enqueue = Some(p.ctx);
@@ -660,7 +601,7 @@ fn flush_lane(lane: &mut Lane, batch_size: usize, trace: Option<&mut RouterTrace
 /// A fresh lane ring, with the shard's stall counter attached when the
 /// runtime is observable (so restarted lanes keep counting backpressure
 /// into the same cell).
-fn fresh_ring(obs: Option<&ShardObs>) -> SpscRing<Msg> {
+fn fresh_ring(obs: Option<&ShardObs>) -> SpscRing<Batch> {
     let ring = SpscRing::with_capacity(RING_CAPACITY);
     match obs {
         Some(shard_obs) => ring.with_stall_counter(shard_obs.queue_stalls.clone()),
@@ -694,15 +635,13 @@ fn degrade(lane: &mut Lane, shard_index: usize, fault: WorkerFault, obs: Option<
 }
 
 /// Supervise a lane whose worker died: join it, salvage what the queue
-/// still holds, roll the shard back to its last checkpoint, and restart
-/// the worker (within [`MAX_RESTARTS`], after [`backoff_for`]) or mark the
-/// lane lossy. `resend` is the control message the current barrier still
-/// needs acked; it is re-enqueued to the restarted worker.
+/// still holds, roll the shard back to its rollback point, and restart the
+/// worker (within [`MAX_RESTARTS`], after [`backoff_for`]) or mark the
+/// lane lossy.
 fn supervise_lane(
     lane: &mut Lane,
     shard: &Arc<Mutex<Ltc>>,
     shard_index: usize,
-    resend: Option<Ctrl>,
     obs: Option<&RuntimeObs>,
 ) {
     if lane.lossy.is_some() {
@@ -727,23 +666,17 @@ fn supervise_lane(
     //    part of the rollback loss, so count them. (Joining the worker
     //    first transferred the consumer role to this thread.)
     let mut salvaged: u64 = 0;
-    for msg in lane.queue.drain() {
-        if let Msg::Batch(ids, _) = msg {
-            salvaged = salvaged.saturating_add(ids.len() as u64);
-        }
+    for batch in lane.queue.drain() {
+        salvaged = salvaged.saturating_add(batch.ids.len() as u64);
     }
     lane.records_lost = lane.records_lost.saturating_add(salvaged);
     if let Some(shard_obs) = &lane.obs {
         shard_obs.records_lost.add(salvaged);
     }
-    // 3. Roll the shard back to the last checkpoint (a period boundary).
-    //    The snapshot was produced by `to_snapshot` on this very table
-    //    shape, so restore cannot fail; tolerate it anyway.
-    {
-        let mut table = lock_recover(shard);
-        let snapshot = lock_recover(&lane.last_good);
-        let _ = table.restore_snapshot(&snapshot);
-    }
+    // 3. Roll the shard back to its rollback point (a period boundary).
+    //    Every bucket comes back dirty in the table's own epoch, so the next
+    //    delta checkpoint carries the whole rolled-back state.
+    lock_recover(shard).copy_state_from(&lane.point);
     if let Some(o) = obs {
         o.note_rollback(shard_index as u64, lane.restarts as u64);
     }
@@ -760,20 +693,6 @@ fn supervise_lane(
     // 5. Fresh channel and barrier; respawn from the restored shard state
     //    (a refused spawn degrades the lane instead).
     spawn_worker(lane, shard, shard_index, obs);
-    if lane.lossy.is_some() {
-        return;
-    }
-    // 6. Re-send the barrier message still in flight so the epoch closes
-    //    on the restored state.
-    if let Some(ctrl) = resend {
-        lane.sent = lane.sent.saturating_add(1);
-        // The original barrier span has already closed; the re-sent apply
-        // starts a fresh tree on the worker's side.
-        if !lane.queue.push(ctrl.to_msg(None)) {
-            // The replacement died instantly; the wait loop will
-            // re-supervise (and burn budget) on the next pass.
-        }
-    }
 }
 
 impl ParallelLtc {
@@ -825,10 +744,11 @@ impl ParallelLtc {
                     sent: 0,
                     queue: Arc::new(fresh_ring(shard_obs.as_ref())),
                     progress: Arc::new(Progress::new()),
-                    // The initial checkpoint is the pristine shard: a worker
-                    // that dies before its first period boundary rolls back
-                    // to an empty (but correctly configured) table.
-                    last_good: Arc::new(Mutex::new(lock_recover(shard).to_snapshot())),
+                    // The initial rollback point is the pristine shard: a
+                    // worker that dies before its first period boundary
+                    // rolls back to an empty (but correctly configured)
+                    // table. Later refreshes copy into this allocation.
+                    point: lock_recover(shard).clone(),
                     worker: None,
                     restarts: 0,
                     lossy: None,
@@ -920,23 +840,23 @@ impl ParallelLtc {
                 (lanes.get_mut(shard_index), self.shards.get(shard_index))
             {
                 if !route_one(lane, self.batch_size, id, trace.as_mut()) {
-                    supervise_lane(lane, shard, shard_index, None, obs);
+                    supervise_lane(lane, shard, shard_index, obs);
                 }
             }
         }
     }
 
-    /// Epoch barrier: every record routed so far reaches its shard, all
-    /// shards close the period, and the call returns only once every live
-    /// worker has acknowledged — the parallel stream sees the same period
-    /// boundary on every shard. Worker deaths during the barrier are
-    /// supervised (restart + re-send, or degradation).
+    /// Close the period: drain every record routed so far into its shard
+    /// (the [`sync`](ParallelLtc::sync) barrier), then close the period on
+    /// every live shard — the parallel stream sees the same period boundary
+    /// on every shard. Worker deaths during the drain are supervised
+    /// (rollback + restart, or degradation) before the close.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy (the period
     /// still closed on every live shard; the runtime stays usable).
     pub fn end_period(&mut self) -> Result<(), RuntimeError> {
-        let result = self.barrier(Some(Ctrl::EndPeriod));
+        let result = self.close_period(names::END_PERIOD_APPLY, Ltc::end_period);
         // The period closed on every live shard even when some are lossy,
         // so the rollover is journalled in both cases.
         self.periods = self.periods.saturating_add(1);
@@ -974,65 +894,67 @@ impl ParallelLtc {
     }
 
     /// Flush + finalize every shard (harvest last-period CLOCK flags), with
-    /// the same barrier semantics as [`end_period`](ParallelLtc::end_period).
+    /// the same drain-then-close semantics as
+    /// [`end_period`](ParallelLtc::end_period).
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy.
     pub fn finish(&mut self) -> Result<(), RuntimeError> {
-        self.barrier(Some(Ctrl::Finish))
+        self.close_period(names::FINISH_APPLY, Ltc::finalize)
     }
 
-    /// Drain the pipeline: flush pending batches and wait until every live
-    /// worker has processed everything sent. Queries call this first.
+    /// Drain, then close on the coordinator: with every live worker idle
+    /// behind the barrier, apply `close` to each live shard under its lock
+    /// and refresh that lane's rollback point from the result — after the
+    /// barrier and before the next batch, so the point always sits on a
+    /// period boundary. Each close is a `span` on the router track, under
+    /// the barrier span. Lossy shards keep their last-good state.
+    fn close_period(&mut self, span: u64, close: fn(&mut Ltc)) -> Result<(), RuntimeError> {
+        let result = self.sync();
+        let Inner { lanes, trace } = inner_mut(&mut self.inner);
+        for (lane, shard) in lanes.iter_mut().zip(&self.shards) {
+            if lane.lossy.is_some() {
+                continue;
+            }
+            let _span = trace.as_ref().map(|t| t.track.span(span, t.last_barrier));
+            let mut table = lock_recover(shard);
+            close(&mut table);
+            lane.point.copy_state_from(&table);
+        }
+        result
+    }
+
+    /// Drain the pipeline — the epoch barrier. Queries and period closes
+    /// call this first. In order:
+    ///
+    /// 1. flush every lane's pending batch;
+    /// 2. wait until every live worker has acknowledged every batch sent,
+    ///    supervising deaths along the way (a restarted worker starts on a
+    ///    fresh queue and owes the barrier nothing);
+    /// 3. close the `barrier_wait` span and record `barrier_wait_ns`.
+    ///
+    /// The span opens after the flush pass, parented under the most recent
+    /// `batch_enqueue`, so the drained batch's causal tree contains the
+    /// wait that drained it.
     ///
     /// # Errors
     /// [`RuntimeError::ShardsLost`] if any shard is lossy — the drain
     /// itself still completed on every live shard, so degraded queries may
     /// proceed (the trait impls do exactly that).
     pub fn sync(&self) -> Result<(), RuntimeError> {
-        self.barrier(None)
-    }
-
-    /// The epoch barrier behind [`sync`](ParallelLtc::sync),
-    /// [`end_period`](ParallelLtc::end_period),
-    /// [`finish`](ParallelLtc::finish) and shutdown. In order:
-    ///
-    /// 1. flush every lane's pending batch;
-    /// 2. enqueue `ctrl` (if any) behind it on every live queue;
-    /// 3. wait until every live worker has acknowledged everything sent,
-    ///    supervising deaths along the way — a restarted worker is re-sent
-    ///    `ctrl` so the in-flight barrier completes;
-    /// 4. close the `barrier_wait` span and record `barrier_wait_ns`.
-    ///
-    /// The span opens after the flush pass, parented under the most recent
-    /// `batch_enqueue` (so the drained batch's causal tree contains the
-    /// wait that drained it), and its context rides inside `ctrl`.
-    fn barrier(&self, ctrl: Option<Ctrl>) -> Result<(), RuntimeError> {
         let obs = self.obs.as_deref();
         let mut inner = lock_recover(&self.inner);
         let Inner { lanes, trace } = &mut *inner;
         for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
             if !flush_lane(lane, self.batch_size, trace.as_mut()) {
-                supervise_lane(lane, shard, shard_index, None, obs);
+                supervise_lane(lane, shard, shard_index, obs);
             }
         }
         let pending = trace.as_ref().map(|t| t.track.begin(t.last_enqueue));
-        if let Some(ctrl) = ctrl {
-            let barrier_ctx = pending.as_ref().map(|p| p.ctx);
-            for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
-                if lane.lossy.is_some() {
-                    continue;
-                }
-                lane.sent = lane.sent.saturating_add(1);
-                if !lane.queue.push(ctrl.to_msg(barrier_ctx)) {
-                    supervise_lane(lane, shard, shard_index, Some(ctrl), obs);
-                }
-            }
-        }
         let start = obs.map(|_| Instant::now());
         for (shard_index, (lane, shard)) in lanes.iter_mut().zip(&self.shards).enumerate() {
             while lane.lossy.is_none() && lane.progress.wait_for(lane.sent).is_err() {
-                supervise_lane(lane, shard, shard_index, ctrl, obs);
+                supervise_lane(lane, shard, shard_index, obs);
             }
         }
         if let (Some(obs), Some(start)) = (obs, start) {
@@ -1091,16 +1013,10 @@ impl ParallelLtc {
     /// tables: lossy shards contribute their last-good (rolled-back)
     /// state, and their terminal faults ride along.
     pub fn into_sharded_lossy(mut self) -> (ShardedLtc, Vec<WorkerFault>) {
-        let _ = self.barrier(Some(Ctrl::Shutdown));
-        let mut faults = Vec::new();
-        for lane in &mut inner_mut(&mut self.inner).lanes {
-            if let Some(handle) = lane.worker.take() {
-                let _ = handle.join();
-            }
-            if let Some(fault) = lane.lossy.clone() {
-                faults.push(fault);
-            }
-        }
+        let _ = self.sync();
+        let lanes = &mut inner_mut(&mut self.inner).lanes;
+        stop_workers(lanes);
+        let faults = lanes.iter().filter_map(|lane| lane.lossy.clone()).collect();
         let shards = std::mem::take(&mut self.shards)
             .into_iter()
             .map(|arc| match Arc::try_unwrap(arc) {
@@ -1169,15 +1085,15 @@ impl ParallelLtc {
     }
 
     /// After a checkpoint restore rewrote every shard table: refresh each
-    /// lane's last-good snapshot to the restored state so a future
-    /// rollback lands on it, and revive lossy lanes with a fresh worker
-    /// and a full retry budget (the operator restored on purpose).
+    /// lane's rollback point to the restored state so a future rollback
+    /// lands on it, and revive lossy lanes with a fresh worker and a full
+    /// retry budget (the operator restored on purpose).
     pub(crate) fn reset_after_restore(&mut self) {
         self.restores = self.restores.saturating_add(1);
         let obs = self.obs.as_deref();
         let inner = inner_mut(&mut self.inner);
         for (shard_index, (lane, shard)) in inner.lanes.iter_mut().zip(&self.shards).enumerate() {
-            *lock_recover(&lane.last_good) = lock_recover(shard).to_snapshot();
+            lane.point.copy_state_from(&lock_recover(shard));
             lane.restarts = 0;
             lane.records_lost = 0;
             lane.last_fault_seq = None;
@@ -1209,22 +1125,23 @@ fn runtime_result(lanes: &[Lane]) -> Result<(), RuntimeError> {
     }
 }
 
+/// Stop every worker: poison each queue — a worker applies what is still
+/// queued, then finds the poison and exits — and join them all. Lanes
+/// already stopped (or lossy) have no worker left to join.
+fn stop_workers(lanes: &mut [Lane]) {
+    for lane in lanes.iter() {
+        lane.queue.poison();
+    }
+    for lane in lanes.iter_mut() {
+        if let Some(handle) = lane.worker.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
 impl Drop for ParallelLtc {
     fn drop(&mut self) {
-        // `into_sharded_lossy` already drained and joined (lanes emptied of
-        // workers); otherwise stop cleanly without asserting — a dead
-        // worker's queue refuses the message, which is fine.
-        let inner = inner_mut(&mut self.inner);
-        for lane in &mut inner.lanes {
-            if lane.worker.is_some() {
-                let _ = lane.queue.push(Msg::Shutdown);
-            }
-        }
-        for lane in &mut inner.lanes {
-            if let Some(handle) = lane.worker.take() {
-                let _ = handle.join();
-            }
-        }
+        stop_workers(&mut inner_mut(&mut self.inner).lanes);
     }
 }
 

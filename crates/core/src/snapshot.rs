@@ -119,9 +119,9 @@ fn push_cell(out: &mut Vec<u8>, cell: &Cell) {
     out.push(cell.raw_flags());
 }
 
-/// Whether `bytes` start with the delta-image magic (the checkpoint layer
-/// routes delta sections to [`Ltc::apply_delta_snapshot`] by this).
-pub(crate) fn is_delta_image(bytes: &[u8]) -> bool {
+/// Whether `bytes` start with the delta-image magic
+/// ([`Ltc::apply_delta_snapshot`] rejects anything else).
+fn is_delta_image(bytes: &[u8]) -> bool {
     bytes.get(..4) == Some(DELTA_MAGIC.as_slice())
 }
 
@@ -139,10 +139,7 @@ impl Ltc {
         out.push(self.snapshot_parity());
         out.extend_from_slice(&self.periods_completed().to_le_bytes());
         for cell in self.cells() {
-            out.extend_from_slice(&cell.id.to_le_bytes());
-            out.extend_from_slice(&cell.freq.to_le_bytes());
-            out.extend_from_slice(&cell.persist.to_le_bytes());
-            out.push(cell.raw_flags());
+            push_cell(&mut out, &cell);
         }
         out
     }

@@ -432,7 +432,19 @@ impl Ltc {
     pub(crate) fn restore_state(&mut self, parity: u8, periods_completed: u64) {
         self.parity = parity & 1;
         self.periods_completed = periods_completed;
-        self.clock = ClockPointer::new(self.store.len());
+        self.clock.rewind();
+    }
+
+    /// Make this table a copy of `src` in place, exactly as
+    /// `restore_snapshot(&src.to_snapshot())` would leave it but without
+    /// the byte image: `src`'s cells, parity and period count, the CLOCK
+    /// back at slot 0, this table's own stats kept, and every bucket dirty
+    /// in this table's own epoch. It cannot fail, does not allocate and
+    /// does not panic. Both tables must share one configuration (the
+    /// runtime's rollback points are clones of their shard).
+    pub(crate) fn copy_state_from(&mut self, src: &Ltc) {
+        self.store.copy_from(&src.store);
+        self.restore_state(src.parity, src.periods_completed);
     }
 
     /// Bucket indices mutated since the last [`Ltc::begin_delta_epoch`]
@@ -1085,6 +1097,49 @@ mod tests {
     fn memory_accounting_uses_paper_model() {
         let ltc = Ltc::new(config(100, 8, 10, Weights::BALANCED, Variant::FULL));
         assert_eq!(ltc.memory_bytes(), 100 * 8 * 16);
+    }
+
+    #[test]
+    fn copy_state_from_equals_the_snapshot_round_trip() {
+        for d in [3, 4, 8, 16] {
+            let cfg = config(16, d, 50, Weights::BALANCED, Variant::FULL);
+            let mut src = Ltc::new(cfg);
+            for period in 0..3u64 {
+                for i in 0..50u64 {
+                    src.insert(if i % 4 == 0 { 7 } else { period * 100 + i });
+                }
+                src.end_period();
+            }
+            // Stop mid-period, so the source's CLOCK is off slot 0.
+            for i in 0..20u64 {
+                src.insert(500 + i);
+            }
+            // Receivers with stats of their own and an open dirty epoch.
+            let receiver = || {
+                let mut r = Ltc::new(cfg);
+                for i in 0..30u64 {
+                    r.insert(900 + i);
+                }
+                r.begin_delta_epoch();
+                r.insert(901);
+                r
+            };
+            let mut copied = receiver();
+            copied.copy_state_from(&src);
+            let mut restored = receiver();
+            restored.restore_snapshot(&src.to_snapshot()).unwrap();
+            assert_eq!(format!("{copied:?}"), format!("{restored:?}"), "d = {d}");
+            assert_eq!(
+                copied.dirty_buckets().collect::<Vec<_>>(),
+                restored.dirty_buckets().collect::<Vec<_>>(),
+                "d = {d}"
+            );
+            assert_eq!(
+                copied.to_delta_snapshot(),
+                restored.to_delta_snapshot(),
+                "d = {d}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault-injection suite: drives the named failpoints in the
-//! runtime (`worker::batch`, `worker::end_period`, `checkpoint::write`,
-//! `spsc::push`) to prove every recovery path end to end — worker panic →
-//! supervised restart from the last checkpoint; restart budget exhaustion →
+//! runtime (`worker::batch`, `checkpoint::write`, `spsc::push`) to prove
+//! every recovery path end to end — worker panic → supervised restart from
+//! the rollback point; restart budget exhaustion →
 //! lossy degradation with live queries; torn/corrupted checkpoint write →
 //! generation fallback on restore. Zero process aborts anywhere.
 //!
@@ -160,40 +160,52 @@ fn recovery_restores_exactly_the_last_epoch_boundary() {
 }
 
 #[test]
-fn worker_panic_during_end_period_completes_the_barrier() {
-    // The worker dies *processing* the EndPeriod message itself; the
-    // supervisor must restore, respawn, and re-send the barrier message so
-    // end_period still returns (loom proves the wait can't deadlock; this
-    // proves the re-send path).
-    let _guard = scenario();
-    let mut p = runtime(2, 16);
-    for i in 0..300u64 {
-        p.insert(i % 30);
-    }
-    p.end_period().expect("healthy runtime");
-    failpoint::configure("worker::end_period", FailAction::Panic, FireSpec::once());
-    for i in 0..300u64 {
-        p.insert(i % 30);
-    }
-    p.end_period()
-        .expect("barrier completed despite the mid-epoch death");
-    failpoint::clear();
-    assert_eq!(restarts_of(&p.health()), 1);
-    p.finish().expect("healthy after restart");
-    assert_eq!(p.try_top_k(3).expect("no lossy shards").len(), 3);
-}
-
-#[test]
-fn worker_panic_during_shutdown_resends_the_shutdown() {
-    // The shutdown barrier flushes a pending batch the worker dies on; the
-    // supervisor must restore, respawn, and re-send `Shutdown` so
-    // `into_sharded` returns instead of hanging.
+fn worker_death_on_the_drained_batch_still_closes_the_period() {
+    // `end_period` flushes a pending batch the worker dies on. The drain
+    // supervises the death (rollback to the last boundary, restart), and
+    // the coordinator then closes the period on the rolled-back table: the
+    // shard equals a reference that closed two periods without the lost
+    // records.
     let _guard = scenario();
     let mut p = runtime(1, 8);
     for i in 0..100u64 {
         p.insert(i % 10);
     }
-    p.end_period().expect("healthy runtime"); // checkpoint at this boundary
+    p.end_period().expect("healthy runtime"); // rollback point here
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
+    for i in 0..4u64 {
+        p.insert(1_000 + i); // below the batch size: still pending
+    }
+    p.end_period()
+        .expect("the period closed despite the worker's death");
+    failpoint::clear();
+    assert_eq!(restarts_of(&p.health()), 1);
+    let recovered = p.into_sharded().expect("no lossy shards");
+
+    let mut reference = ShardedLtc::new(config(), 1);
+    for i in 0..100u64 {
+        reference.insert(i % 10);
+    }
+    reference.end_period();
+    reference.end_period();
+    assert_eq!(
+        format!("{:?}", recovered.shard(0)),
+        format!("{:?}", reference.shard(0)),
+        "the period must close on the rolled-back table"
+    );
+}
+
+#[test]
+fn worker_panic_during_shutdown_still_returns_the_tables() {
+    // Shutdown drains first and flushes a pending batch the worker dies
+    // on; the supervisor must restore and respawn, and `into_sharded` must
+    // then stop the fresh worker and return instead of hanging.
+    let _guard = scenario();
+    let mut p = runtime(1, 8);
+    for i in 0..100u64 {
+        p.insert(i % 10);
+    }
+    p.end_period().expect("healthy runtime"); // rollback point here
     failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
     for i in 0..4u64 {
         p.insert(1_000 + i); // below the batch size: still pending

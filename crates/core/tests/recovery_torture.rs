@@ -654,6 +654,58 @@ fn worker_death_while_the_service_runs_keeps_checkpoints_sound() {
     q.finish().expect("healthy");
 }
 
+#[test]
+fn rollback_below_a_later_chain_base_keeps_the_next_delta_sound() {
+    // The rollback point is older than the base of the chain being written:
+    // a worker death rolls the shard back past records that base already
+    // covers. The next delta must undo them, so the rollback has to leave
+    // every bucket dirty in the *table's* current epoch, not in whichever
+    // epoch was open when the point was taken.
+    let _guard = scenario();
+    let first_dir = ScratchDir::new("rollback-first");
+    let second_dir = ScratchDir::new("rollback-second");
+    let mut p = runtime(1, 8);
+    ingest_round(&mut p, 0);
+    // 1. A first service opens a dirty epoch.
+    let first = DurabilityService::attach(&p, store_at(first_dir.path()), manual_policy()).unwrap();
+    assert_eq!(first.checkpoint_now().expect("first base"), 1);
+    drop(first);
+    // 2. This period boundary is the rollback point.
+    p.end_period().expect("healthy runtime");
+    // 3. Records past the boundary...
+    for i in 0..40u64 {
+        p.insert(50_000 + i);
+    }
+    p.sync().expect("healthy runtime");
+    // 4. ...covered by a second service's base.
+    let second =
+        DurabilityService::attach(&p, store_at(second_dir.path()), manual_policy()).unwrap();
+    assert_eq!(second.checkpoint_now().expect("second base"), 1);
+    let base_frame = p.to_checkpoint();
+    // 5. The worker dies and the shard rolls back below that base.
+    failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
+    for i in 0..8u64 {
+        p.insert(60_000 + i); // exactly one batch; the worker dies on it
+    }
+    p.sync().expect("supervision absorbed the panic");
+    failpoint::clear();
+    let rolled_back = p.to_checkpoint();
+    assert_ne!(rolled_back, base_frame, "the rollback went below the base");
+    // 6. Base + the next delta restore to the rolled-back table.
+    assert_eq!(second.checkpoint_now().expect("delta"), 2);
+    assert_eq!(second.status().delta_saves, 1, "generation 2 is a delta");
+    drop(second);
+    drop(p);
+    let mut q = runtime(1, 8);
+    assert_eq!(q.restore_from(&store_at(second_dir.path())).unwrap(), 2);
+    assert_eq!(
+        q.to_checkpoint(),
+        rolled_back,
+        "base + delta must restore the rolled-back table bit for bit"
+    );
+    q.finish().expect("healthy");
+}
+
 // ---------------------------------------------------------------------------
 // Retry-budget behaviour of the service itself (the fixed budget: one
 // attempt plus 3 retries per save).

@@ -65,14 +65,16 @@ fn batch_spans_form_one_causal_tree_through_the_checkpoint() {
     let spans = obs.drain_spans();
     assert!(!spans.is_empty(), "a streamed workload must record spans");
     // The acceptance property: at least one batch's enqueue, worker-side
-    // process, barrier wait and checkpoint publish share one trace with
-    // exactly one root and fully-resolving parents.
+    // process, barrier wait, the coordinator's period close and checkpoint
+    // publish share one trace with exactly one root and fully-resolving
+    // parents.
     let trace_id = single_causal_tree(
         &spans,
         &[
             names::BATCH_ENQUEUE,
             names::BATCH_PROCESS,
             names::BARRIER_WAIT,
+            names::END_PERIOD_APPLY,
             names::CHECKPOINT_SAVE,
         ],
     )
@@ -154,7 +156,7 @@ mod failpoints {
         }
         p.end_period().expect("healthy runtime");
         // Seed the fault: the next batch any worker applies panics; the
-        // supervisor rolls the shard back and resends.
+        // supervisor rolls the shard back and restarts the worker.
         failpoint::configure("worker::batch", FailAction::Panic, FireSpec::once());
         for i in 0..1_000u64 {
             p.insert(i % 50);

@@ -8,10 +8,8 @@
 //! *both* files is compared, and the command exits nonzero when any of
 //! them dropped by more than the tolerance percent.
 //!
-//! The tolerance is resolved in order: `--tolerance` (or its older alias
-//! `--max-regress`) on the command line, then `[bench] tolerance` in the
-//! lint.toml named by `--config` (the CLI wrapper passes the workspace
-//! lint.toml by default), then the built-in default.
+//! The tolerance has one setting, `--max-regress <pct>`, with a built-in
+//! default of 5%.
 //!
 //! Exit codes: `0` within budget, `1` regression detected, `2` usage or
 //! parse error. A throughput key that *disappears* from the new file is
@@ -21,7 +19,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-/// Built-in tolerance, percent, when neither a flag nor a config sets it.
+/// Built-in tolerance, percent, when `--max-regress` is not given.
 const DEFAULT_MAX_REGRESS: f64 = 5.0;
 
 /// Default key filter: throughput keys, where a drop is a regression.
@@ -233,47 +231,27 @@ pub fn run(args: &[String], out: &mut dyn Write) -> i32 {
         2
     };
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut flag_tolerance: Option<f64> = None;
-    let mut config_tolerance: Option<f64> = None;
+    let mut max_regress = DEFAULT_MAX_REGRESS;
     let mut filter = DEFAULT_FILTER.to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            // `--tolerance` and its older alias mean the same thing.
-            flag @ ("--tolerance" | "--max-regress") => {
-                match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(v) if v >= 0.0 => flag_tolerance = Some(v),
-                    _ => return fail(format!("{flag} needs a non-negative percent")),
-                }
-            }
+            "--max-regress" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(v) if v >= 0.0 => max_regress = v,
+                _ => return fail("--max-regress needs a non-negative percent".to_string()),
+            },
             "--key-filter" => match it.next() {
                 Some(v) => filter = v.clone(),
                 None => return fail("--key-filter needs a substring".to_string()),
             },
-            "--config" => {
-                let Some(path) = it.next() else {
-                    return fail("--config needs a lint.toml path".to_string());
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => return fail(format!("cannot read {path}: {e}")),
-                };
-                match crate::parse_config(&text) {
-                    Ok(config) => config_tolerance = config.bench_tolerance,
-                    Err(e) => return fail(e),
-                }
-            }
             flag if flag.starts_with("--") => return fail(format!("unknown option `{flag}`")),
             path => paths.push(PathBuf::from(path)),
         }
     }
-    let max_regress = flag_tolerance
-        .or(config_tolerance)
-        .unwrap_or(DEFAULT_MAX_REGRESS);
     let [baseline_path, new_path] = paths.as_slice() else {
         return fail(
             "usage: bench-compare <baseline.json> <new.json> \
-             [--tolerance <pct>] [--key-filter <substr>] [--config <lint.toml>]"
+             [--max-regress <pct>] [--key-filter <substr>]"
                 .to_string(),
         );
     };

@@ -152,10 +152,6 @@ pub struct Config {
     /// Hot-path files where a metric update must not share a statement
     /// with a lock or a strong atomic ordering.
     pub obs_call_site_files: Vec<String>,
-    /// Default relative tolerance (percent) for `bench-compare`, from
-    /// `[bench] tolerance`. `None` falls back to the built-in default;
-    /// the `--tolerance` / `--max-regress` flags override either.
-    pub bench_tolerance: Option<f64>,
     /// Hot-path entry points for the interprocedural purity analysis:
     /// `"path/to/file.rs::Type::fn"` (or `file.rs::fn` for free fns).
     pub callgraph_entries: Vec<String>,
@@ -187,7 +183,6 @@ const SCHEMA: &[(&str, &[&str])] = &[
     ("failpoints", &["allow"]),
     ("atomic_io", &["files"]),
     ("obs", &["metrics_files", "trace_files", "call_site_files"]),
-    ("bench", &["tolerance"]),
     ("callgraph", &["entries", "purity_deny", "opaque_budget"]),
 ];
 
@@ -239,23 +234,6 @@ pub fn parse_config(text: &str) -> Result<Config, String> {
             if !closed {
                 return Err(format!("lint.toml:{}: unterminated array", idx + 1));
             }
-        }
-        // `[bench] tolerance` is the one numeric key in the schema.
-        if section == "bench" && key == "tolerance" {
-            let pct: f64 = value.parse().map_err(|_| {
-                format!(
-                    "lint.toml:{}: `tolerance` must be a number (percent), got `{value}`",
-                    idx + 1
-                )
-            })?;
-            if !pct.is_finite() || pct < 0.0 {
-                return Err(format!(
-                    "lint.toml:{}: `tolerance` must be a finite non-negative percent",
-                    idx + 1
-                ));
-            }
-            config.bench_tolerance = Some(pct);
-            continue;
         }
         // `[callgraph] opaque_budget` is the one integer key.
         if section == "callgraph" && key == "opaque_budget" {
@@ -998,16 +976,7 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
         Some("lint") => {}
         Some("callgraph") => callgraph_cmd = true,
         Some("bench-compare") => {
-            let mut rest: Vec<String> = args.cloned().collect();
-            // Default the tolerance source to the workspace lint.toml
-            // (`[bench] tolerance`) unless the caller names a config.
-            if !rest.iter().any(|a| a == "--config") {
-                let shipped = workspace_root().join("lint.toml");
-                if shipped.is_file() {
-                    rest.push("--config".to_string());
-                    rest.push(shipped.display().to_string());
-                }
-            }
+            let rest: Vec<String> = args.cloned().collect();
             return bench_compare::run(&rest, out);
         }
         other => {
@@ -1021,7 +990,7 @@ pub fn run_with(args: &[String], out: &mut dyn Write) -> i32 {
                  cargo run -p xtask -- callgraph [--root <dir>] [--config <lint.toml>] \
                  [--format dot|json]\n       \
                  cargo run -p xtask -- bench-compare <baseline.json> <new.json> \
-                 [--tolerance <pct>] [--key-filter <substr>] [--config <lint.toml>]"
+                 [--max-regress <pct>] [--key-filter <substr>]"
             );
             return 2;
         }

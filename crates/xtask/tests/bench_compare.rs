@@ -165,7 +165,7 @@ fn cli_usage_and_parse_errors_exit_two() {
 }
 
 #[test]
-fn cli_tolerance_flag_and_config_resolution() {
+fn cli_max_regress_is_the_one_tolerance_setting() {
     let dir = scratch("tolerance");
     let base = write_json(&dir, "base.json", BASELINE);
     // scalar_mops 10.0 → 8.0 is a 20% drop; everything else holds.
@@ -181,88 +181,40 @@ fn cli_tolerance_flag_and_config_resolution() {
           "sharded4_batch256_mops": 8.0
         }"#,
     );
-    // Default budget (5%): fails.
-    assert_eq!(run_cli(&["bench-compare", &base, &fresh]).0, 1);
-    // `--tolerance` is the documented spelling of `--max-regress`.
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--tolerance", "25"]);
-    assert_eq!(code, 0, "output: {out}");
-    assert!(out.contains("within the 25% budget"), "output: {out}");
-    // A config file can set the budget instead.
-    let loose = dir.join("loose.toml");
-    fs::write(
-        &loose,
-        "[paths]\nroots = [\"src\"]\n[bench]\ntolerance = 30.0\n",
-    )
-    .expect("write config");
-    let loose = loose.to_str().expect("utf8");
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--config", loose]);
-    assert_eq!(code, 0, "output: {out}");
-    assert!(out.contains("within the 30% budget"), "output: {out}");
-    // The flag beats the config when both are given.
-    let (code, out) = run_cli(&[
-        "bench-compare",
-        &base,
-        &fresh,
-        "--config",
-        loose,
-        "--tolerance",
-        "10",
-    ]);
-    assert_eq!(code, 1, "output: {out}");
-    assert!(out.contains("more than 10%"), "output: {out}");
-    // A config without a [bench] section falls back to the default.
-    let silent = dir.join("silent.toml");
-    fs::write(&silent, "[paths]\nroots = [\"src\"]\n").expect("write config");
-    let silent = silent.to_str().expect("utf8");
-    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--config", silent]);
+    // Built-in default budget (5%): fails.
+    let (code, out) = run_cli(&["bench-compare", &base, &fresh]);
     assert_eq!(code, 1, "output: {out}");
     assert!(out.contains("more than 5%"), "output: {out}");
+    // `--max-regress` sets the budget, both ways.
+    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--max-regress", "25"]);
+    assert_eq!(code, 0, "output: {out}");
+    assert!(out.contains("within the 25% budget"), "output: {out}");
+    let (code, out) = run_cli(&["bench-compare", &base, &fresh, "--max-regress", "10"]);
+    assert_eq!(code, 1, "output: {out}");
+    assert!(out.contains("more than 10%"), "output: {out}");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn cli_config_errors_exit_two() {
-    let dir = scratch("badconfig");
+fn cli_retired_tolerance_options_exit_two() {
+    let dir = scratch("retired");
     let base = write_json(&dir, "base.json", BASELINE);
-    // Unreadable path.
-    let missing = dir.join("missing.toml");
-    let missing = missing.to_str().expect("utf8");
-    assert_eq!(
-        run_cli(&["bench-compare", &base, &base, "--config", missing]).0,
-        2
-    );
-    // Invalid tolerance values are schema errors, not silent defaults.
-    for bad in ["tolerance = -1.0", "tolerance = nan", "tolerance = many"] {
-        let path = dir.join("bad.toml");
-        fs::write(
-            &path,
-            format!("[paths]\nroots = [\"src\"]\n[bench]\n{bad}\n"),
-        )
-        .expect("write config");
-        let path = path.to_str().expect("utf8");
-        let (code, out) = run_cli(&["bench-compare", &base, &base, "--config", path]);
-        assert_eq!(code, 2, "`{bad}` should be rejected:\n{out}");
+    // The `--tolerance` alias and `--config` are gone.
+    for retired in [["--tolerance", "25"], ["--config", "lint.toml"]] {
+        let (code, out) = run_cli(&["bench-compare", &base, &base, retired[0], retired[1]]);
+        assert_eq!(code, 2, "`{}` should be rejected:\n{out}", retired[0]);
+        assert!(out.contains("unknown option"), "output: {out}");
     }
-    // `--tolerance` with a missing or negative value.
+    // `--max-regress` with a missing or negative value.
     assert_eq!(
-        run_cli(&["bench-compare", &base, &base, "--tolerance"]).0,
+        run_cli(&["bench-compare", &base, &base, "--max-regress"]).0,
         2
     );
     assert_eq!(
-        run_cli(&["bench-compare", &base, &base, "--tolerance", "-2"]).0,
+        run_cli(&["bench-compare", &base, &base, "--max-regress", "-2"]).0,
         2
     );
     let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shipped_lint_toml_sets_the_bench_tolerance() {
-    // The workspace lint.toml ships a [bench] tolerance, and the CLI
-    // wrapper feeds it to bench-compare by default — pin both halves.
-    let root = xtask::workspace_root();
-    let text = fs::read_to_string(root.join("lint.toml")).expect("lint.toml");
-    let config = xtask::parse_config(&text).expect("config parses");
-    assert_eq!(config.bench_tolerance, Some(5.0));
 }
 
 #[test]

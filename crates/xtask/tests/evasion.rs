@@ -21,7 +21,6 @@ fn everything_config(rel: &str) -> Config {
         obs_metrics_files: vec![],
         obs_trace_files: vec![],
         obs_call_site_files: vec![rel.to_string()],
-        bench_tolerance: None,
         callgraph_entries: vec![],
         purity_deny: vec![],
         opaque_budget: None,

@@ -19,7 +19,6 @@ fn fixture_config() -> Config {
         obs_metrics_files: vec!["src/metrics.rs".to_string()],
         obs_trace_files: vec!["src/trace.rs".to_string()],
         obs_call_site_files: vec!["src/hot.rs".to_string()],
-        bench_tolerance: None,
         callgraph_entries: vec![],
         purity_deny: vec![],
         opaque_budget: None,

@@ -33,9 +33,6 @@ files = ["src/table.rs"]
 [obs]
 metrics_files = ["src/metrics.rs"]
 call_site_files = ["src/table.rs"]
-
-[bench]
-tolerance = 7.5
 "#;
 
 #[test]
@@ -45,24 +42,6 @@ fn full_schema_parses() {
     assert_eq!(config.counter_fields, vec!["freq", "persist"]);
     assert_eq!(config.obs_call_site_files, vec!["src/table.rs"]);
     assert_eq!(config.protocol_files, vec!["src/spsc.rs"]);
-    assert_eq!(config.bench_tolerance, Some(7.5));
-}
-
-#[test]
-fn bench_tolerance_rejects_non_numeric_and_negative_values() {
-    for bad in ["-1", "abc", "inf", "nan", "[5.0]"] {
-        let err = parse_config(&format!(
-            "[paths]\nroots = [\"src\"]\n[bench]\ntolerance = {bad}\n"
-        ))
-        .expect_err(bad);
-        assert!(err.contains("tolerance"), "`{bad}`: {err}");
-    }
-}
-
-#[test]
-fn bench_tolerance_is_optional() {
-    let config = parse_config("[paths]\nroots = [\"src\"]\n").expect("valid");
-    assert_eq!(config.bench_tolerance, None);
 }
 
 #[test]
@@ -109,6 +88,23 @@ fn cli_retired_simd_section_exits_two() {
     let (code, out) = run_lint(&root);
     assert_eq!(code, 2, "output: {out}");
     assert!(out.contains("unknown section `[simd]`"), "output: {out}");
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn cli_retired_bench_section_exits_two() {
+    // `[bench] tolerance` is gone: `bench-compare --max-regress` is the one
+    // tolerance setting, so a config still carrying the section is stale.
+    let root = scratch("bench");
+    write(&root, "src/lib.rs", "pub fn f() {}\n");
+    write(
+        &root,
+        "lint.toml",
+        "[paths]\nroots = [\"src\"]\n\n[bench]\ntolerance = 5.0\n",
+    );
+    let (code, out) = run_lint(&root);
+    assert_eq!(code, 2, "output: {out}");
+    assert!(out.contains("unknown section `[bench]`"), "output: {out}");
     let _ = fs::remove_dir_all(&root);
 }
 
